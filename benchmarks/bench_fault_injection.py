@@ -14,7 +14,7 @@ from repro.core.terminating import TerminatingNode
 from repro.core.warmup import WarmupNode
 from repro.exceptions import SimulationLimitExceeded
 from repro.simulator.engine import Engine
-from repro.simulator.faults import FaultPlan, apply_fault_plan, total_faults
+from repro.faults import FaultModel, apply_fault_model, total_faults
 from repro.simulator.ring import build_oriented_ring
 
 IDS = [3, 9, 5, 2, 7]
@@ -24,7 +24,7 @@ TRIALS = 25
 def faulty_run(node_cls, plan, max_steps=30_000):
     nodes = [node_cls(node_id) for node_id in IDS]
     topology = build_oriented_ring(nodes)
-    apply_fault_plan(topology.network, plan)
+    apply_fault_model(topology.network, plan)
     result = Engine(topology.network, max_steps=max_steps).run()
     return nodes, result, topology.network
 
@@ -52,7 +52,7 @@ def test_pulse_loss_census(report, benchmark):
     for rate in (0.05, 0.15, 0.35):
         damaged, livelocked, faultless = census(
             TerminatingNode,
-            lambda seed, rate=rate: FaultPlan(drop_rate=rate, seed=seed),
+            lambda seed, rate=rate: FaultModel(drop_rate=rate, seed=seed),
             lambda nodes, result: (
                 not result.all_terminated
                 or [i for i, n in enumerate(nodes) if n.output is LeaderState.LEADER] != [1]
@@ -69,7 +69,7 @@ def test_pulse_loss_census(report, benchmark):
     # At the heaviest rate, damage must be the norm.
     assert rows[-1][2] + rows[-1][3] > TRIALS // 2
     benchmark.pedantic(
-        lambda: faulty_run(TerminatingNode, FaultPlan(drop_rate=0.35, seed=1)),
+        lambda: faulty_run(TerminatingNode, FaultModel(drop_rate=0.35, seed=1)),
         rounds=3,
         iterations=1,
     )
@@ -80,7 +80,7 @@ def test_pulse_injection_census(report, benchmark):
     for rate in (0.05, 0.15, 0.35):
         damaged, livelocked, faultless = census(
             WarmupNode,
-            lambda seed, rate=rate: FaultPlan(duplicate_rate=rate, seed=seed),
+            lambda seed, rate=rate: FaultModel(duplicate_rate=rate, seed=seed),
             lambda nodes, result: any(node.rho_cw > max(IDS) for node in nodes),
         )
         rows.append((f"{rate:.2f}", TRIALS, damaged, livelocked, faultless))
@@ -95,7 +95,7 @@ def test_pulse_injection_census(report, benchmark):
     benchmark.pedantic(
         lambda: census(
             WarmupNode,
-            lambda seed: FaultPlan(duplicate_rate=0.05, seed=seed),
+            lambda seed: FaultModel(duplicate_rate=0.05, seed=seed),
             lambda nodes, result: False,
         ),
         rounds=1,

@@ -27,12 +27,10 @@ instances up to the ID draw).  Outcomes are verified by element-wise
 comparison on the subsample plus closed-form checks (exact Theorem 1
 pulse count, max-ID leader, all terminated) over the full fleet.
 
-A *compiled* section times the JIT fleet tier against the numpy fleet
-on the same sweep shape (``warm_compiled`` is invoked — and timed —
-first, so compilation cost is reported separately from throughput).
-Without numba the section records ``numba_available: false`` instead of
-a number.  Thread counts (OMP/NUMBA/BLAS) are pinned at module import,
-before any ``repro`` import, and echoed into the report metadata.
+A *farm* section times a sweep-farm recovery campaign cold, warm (all
+cache hits) and resumed.  Thread counts (OMP/BLAS) are pinned at module
+import, before any ``repro`` import, and echoed into the report
+metadata.
 
 Results land in a machine-readable ``BENCH_engine.json`` at the repo
 root so future PRs have a perf trajectory::
@@ -42,21 +40,18 @@ root so future PRs have a perf trajectory::
     PYTHONPATH=src python benchmarks/run_engine_bench.py --processes auto
     PYTHONPATH=src python benchmarks/run_engine_bench.py --quick \\
         --min-batched-speedup 5 --min-fleet-speedup 5               # CI gate
-    PYTHONPATH=src python benchmarks/run_engine_bench.py --quick \\
-        --min-compiled-speedup 10                                   # JIT gate
 """
 
 from __future__ import annotations
 
 import os
 
-# Pin thread counts BEFORE any repro/numpy/numba import: BLAS pools and
-# the numba runtime size themselves at import, and an oversubscribed box
-# turns throughput numbers into noise.  ``setdefault`` keeps an explicit
+# Pin thread counts BEFORE any repro/numpy import: BLAS pools size
+# themselves at import, and an oversubscribed box turns throughput
+# numbers into noise.  ``setdefault`` keeps an explicit
 # operator override; the effective pins land in the report metadata.
 THREAD_PINS = {
     "OMP_NUM_THREADS": "1",
-    "NUMBA_NUM_THREADS": "1",
     "OPENBLAS_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
 }
@@ -211,111 +206,6 @@ def bench_sweep(fleet_size: int, n: int, id_max: int, subsample: int) -> Dict:
     }
 
 
-def bench_compiled(fleet_size: int, n: int, id_max: int) -> Dict:
-    """Time the JIT tier against the NumPy fleet on the same sweep shape.
-
-    ``warm_compiled`` runs (and is timed) first so one-off compilation
-    cost is reported separately and never pollutes the throughput rows.
-    Without numba the section records ``numba_available: false`` and
-    skips honestly instead of faking a number.
-    """
-    from repro.accel import jit_available, warm_compiled
-    from repro.simulator.fleet import HAVE_NUMPY, run_terminating_fleet
-
-    section: Dict = {
-        "fleet_size": fleet_size,
-        "n": n,
-        "id_max": id_max,
-        "numba_available": jit_available(),
-    }
-    if not section["numba_available"] or not HAVE_NUMPY:
-        section["skipped"] = (
-            "numba (the [jit] extra) is not importable on this machine"
-        )
-        return section
-
-    section["compile_seconds"] = round(warm_compiled(), 3)
-    instances = [pinned_ids(n, id_max, seed=b) for b in range(fleet_size)]
-
-    t0 = time.perf_counter()
-    numpy_result = run_terminating_fleet(instances, backend="numpy")
-    numpy_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    compiled_result = run_terminating_fleet(instances, backend="compiled")
-    compiled_seconds = time.perf_counter() - t0
-    assert compiled_result.backend == "compiled"
-
-    pulses = sum(numpy_result.total_pulses)
-    outcomes_match = (
-        compiled_result.leaders == numpy_result.leaders
-        and compiled_result.states == numpy_result.states
-        and compiled_result.total_pulses == numpy_result.total_pulses
-        and compiled_result.rho_cw == numpy_result.rho_cw
-        and compiled_result.rho_ccw == numpy_result.rho_ccw
-    )
-    numpy_rate = pulses / numpy_seconds
-    compiled_rate = pulses / compiled_seconds
-    section.update(
-        {
-            "numpy": {
-                "seconds": round(numpy_seconds, 4),
-                "pulses_per_sec": round(numpy_rate),
-            },
-            "compiled": {
-                "seconds": round(compiled_seconds, 4),
-                "pulses_per_sec": round(compiled_rate),
-            },
-            "pulses": pulses,
-            "compiled_speedup_vs_numpy": round(
-                compiled_rate / numpy_rate, 2
-            ),
-            "outcomes_match": bool(outcomes_match),
-        }
-    )
-    return section
-
-
-# Slots micro-benchmark (node/channel allocation weight): run_terminating
-# on n=32, IDmax=1000, pinned seed, best of 5.  The "before" row was
-# measured at the commit preceding the __slots__ change with the same
-# procedure; "after" is re-measured by --slots-bench (and folded into the
-# full-grid report) so the delta stays honest on the recording machine.
-SLOTS_BENCH_BEFORE = {
-    "unbatched_pulses_per_sec": 172_317,
-    "batched_pulses_per_sec": 2_839_438,
-}
-
-
-def bench_slots(repeats: int = 5) -> Dict:
-    """Best-of-``repeats`` micro-benchmark matching SLOTS_BENCH_BEFORE."""
-    n, id_max = 32, 1000
-    ids = pinned_ids(n, id_max, seed=n * id_max)
-    best: Dict[str, float] = {}
-    for batched in (False, True):
-        rates = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            outcome = run_terminating(ids, batched=batched, max_steps=10**9)
-            rates.append(outcome.total_pulses / (time.perf_counter() - t0))
-        key = "batched" if batched else "unbatched"
-        best[f"{key}_pulses_per_sec"] = round(max(rates))
-    return {
-        "workload": "run_terminating n=32 IDmax=1000, best of 5",
-        "before_slots": SLOTS_BENCH_BEFORE,
-        "after_slots": best,
-        "speedup_unbatched": round(
-            best["unbatched_pulses_per_sec"]
-            / SLOTS_BENCH_BEFORE["unbatched_pulses_per_sec"],
-            3,
-        ),
-        "speedup_batched": round(
-            best["batched_pulses_per_sec"]
-            / SLOTS_BENCH_BEFORE["batched_pulses_per_sec"],
-            3,
-        ),
-    }
-
-
 def bench_farm(quick: bool) -> Dict:
     """Sweep-farm cache economics: cold vs warm campaign wall time.
 
@@ -447,13 +337,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="fail unless the fleet sweep speedup over batched meets this floor",
     )
     parser.add_argument(
-        "--min-compiled-speedup",
-        type=float,
-        default=None,
-        help="fail unless the compiled (JIT) fleet beats the numpy fleet "
-        "by this factor; also fails when numba itself is missing",
-    )
-    parser.add_argument(
         "--min-cache-speedup",
         type=float,
         default=None,
@@ -501,28 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         flush=True,
     )
 
-    if args.quick:
-        compiled_bench = bench_compiled(fleet_size=100, n=16, id_max=10**4)
-    else:
-        compiled_bench = bench_compiled(fleet_size=10**4, n=64, id_max=10**5)
-    if compiled_bench.get("skipped"):
-        print(f"  compiled tier: {compiled_bench['skipped']}", flush=True)
-    else:
-        print(
-            f"  compiled {compiled_bench['compiled']['pulses_per_sec']:>12,} "
-            f"pulses/s | {compiled_bench['compiled_speedup_vs_numpy']}x vs "
-            f"numpy fleet | compile {compiled_bench['compile_seconds']}s | "
-            f"outcomes_match={compiled_bench['outcomes_match']}",
-            flush=True,
-        )
-
-    slots_bench = bench_slots()
-    print(
-        f"  slots micro-bench: unbatched {slots_bench['speedup_unbatched']}x, "
-        f"batched {slots_bench['speedup_batched']}x vs pre-__slots__ baseline",
-        flush=True,
-    )
-
     print("farm workload: cold vs warm recovery campaign ...", flush=True)
     farm_bench = bench_farm(args.quick)
     print(
@@ -554,12 +415,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "cpu_count": os.cpu_count(),
         "thread_pins": {var: os.environ[var] for var in THREAD_PINS},
         "numpy_version": _dist_version("numpy"),
-        "numba_version": _dist_version("numba"),
         "workload": "run_terminating (Theorem 1: exactly n(2*IDmax+1) pulses)",
         "grid": configs,
         "sweep": sweep_config,
-        "compiled": compiled_bench,
-        "slots_microbench": slots_bench,
         "farm": farm_bench,
         "differential_sweep": {
             "cases": sweep_cases,
@@ -574,9 +432,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "fleet_speedup_vs_batched": sweep_config["fleet_speedup_vs_batched"],
             "fleet_meets_10x_vs_batched": sweep_config["fleet_speedup_vs_batched"]
             >= 10.0,
-            "compiled_speedup_vs_numpy": compiled_bench.get(
-                "compiled_speedup_vs_numpy"
-            ),
             "farm_cache_speedup": farm_bench["cache_speedup"],
             "farm_collect_byte_identical": farm_bench[
                 "byte_identical_collect"
@@ -589,7 +444,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         not all(sweep)
         or not all(c["outcomes_match"] for c in configs)
         or not sweep_config["outcomes_match"]
-        or not compiled_bench.get("outcomes_match", True)
     ):
         print("DIFFERENTIAL MISMATCH — fast engines disagree with reference")
         return 1
@@ -606,20 +460,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{args.min_cache_speedup}x"
         )
         return 1
-    if args.min_compiled_speedup is not None:
-        achieved = compiled_bench.get("compiled_speedup_vs_numpy")
-        if achieved is None:
-            print(
-                "SPEEDUP GATE UNMEASURABLE — --min-compiled-speedup needs "
-                "numba (install the [jit] extra)"
-            )
-            return 1
-        if achieved < args.min_compiled_speedup:
-            print(
-                f"SPEEDUP REGRESSION — compiled fleet {achieved}x over numpy "
-                f"below the required {args.min_compiled_speedup}x"
-            )
-            return 1
     if (
         args.min_batched_speedup is not None
         and best < args.min_batched_speedup

@@ -272,7 +272,7 @@ STATISTICAL_QUICK = {"samples": 5_000, "n": 16, "id_max": 10_000}
 
 def bench_statistical(quick: bool) -> Dict:
     """Sampled-schedule checking throughput + the fault self-test."""
-    from repro.simulator.fleet import FleetFault
+    from repro.faults.model import PulseDrop
     from repro.verification.statistical import run_statistical_check
 
     params = STATISTICAL_QUICK if quick else STATISTICAL_FULL
@@ -285,7 +285,7 @@ def bench_statistical(quick: bool) -> Dict:
     )
     t_clean = time.perf_counter() - t0
 
-    fault = FleetFault(round_index=3, node=1, direction="cw", instance=17)
+    fault = PulseDrop(round_index=3, node=1, direction="cw", instance=17)
     t0 = time.perf_counter()
     faulted = run_statistical_check(
         n=8, id_max=100, samples=64, block_size=64, fault=fault

@@ -1,32 +1,22 @@
-"""Optional-accelerator guards and the fleet backend registry.
+"""The optional NumPy guard and the fleet backend registry.
 
-Two optional tiers sit above the pure-Python reference semantics:
-
-* **NumPy** (the ``[perf]`` extra) — vectorized struct-of-arrays
-  lowerings.  This module is the single place NumPy is imported, so a
-  NumPy-free install degrades in exactly one, testable way
-  (``tests/test_numpy_free.py`` runs the full CLI surface with NumPy
-  shadowed out).
-* **Numba** (the ``[jit]`` extra) — ``@njit``-compiled per-instance
-  fleet loops in :mod:`repro.core.kernels.compiled`, the only module
-  allowed to import numba.  It degrades the same way
-  (``tests/test_jit_free.py``).
+One optional tier sits above the pure-Python reference semantics:
+**NumPy** (the ``[perf]`` extra) — vectorized struct-of-arrays
+lowerings.  This module is the single place NumPy is imported, so a
+NumPy-free install degrades in exactly one, testable way
+(``tests/test_numpy_free.py`` runs the full CLI surface with NumPy
+shadowed out).
 
 :func:`resolve_backend` is the one dispatch rule every fleet entry
-point, sweep, and checker goes through: ``"auto"`` prefers
-``compiled`` → ``numpy`` → ``python`` (overridable with the
-``REPRO_BACKEND`` environment variable); pinning an unavailable backend
-is a :class:`~repro.exceptions.ConfigurationError` with an install
-hint.  Pure Python stays the bit-identity oracle — the accelerated
-tiers are lowerings of the same kernels, pinned by the differential
-test battery.
+point, sweep, and checker goes through: ``"auto"`` prefers ``numpy``
+→ ``python``; pinning an unavailable backend is a
+:class:`~repro.exceptions.ConfigurationError` with an install hint.
+Pure Python stays the bit-identity oracle — the NumPy tier is a
+lowering of the same kernels, pinned by the differential test battery.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-from pathlib import Path
 from typing import Any, Optional, Tuple
 
 try:  # pragma: no cover - trivially one of the two branches per install
@@ -40,13 +30,9 @@ np: Optional[Any] = _numpy
 #: True when the ``[perf]`` extra's NumPy is importable.
 HAVE_NUMPY: bool = np is not None
 
-#: Every backend name :func:`resolve_backend` accepts (CLI ``--backend``
-#: choices and the ``REPRO_BACKEND`` environment variable use this).
-BACKEND_CHOICES: Tuple[str, ...] = ("auto", "compiled", "numpy", "python")
-
-#: Environment variable that overrides what ``backend="auto"`` resolves
-#: to (any value in :data:`BACKEND_CHOICES`).
-BACKEND_ENV_VAR = "REPRO_BACKEND"
+#: Every backend name :func:`resolve_backend` accepts (the CLI's
+#: ``--backend`` choices).
+BACKEND_CHOICES: Tuple[str, ...] = ("auto", "numpy", "python")
 
 
 def require_numpy(feature: str) -> Any:
@@ -61,68 +47,16 @@ def require_numpy(feature: str) -> Any:
     return np
 
 
-# ---------------------------------------------------------------------------
-# The compiled (numba) tier.  repro.core.kernels.compiled is the only
-# module that imports numba (CI greps for this); here we only probe it,
-# lazily and once, so numpy-only and pure-Python installs never pay a
-# failed import more than once per process.
-# ---------------------------------------------------------------------------
-
-_COMPILED_MOD: Optional[Any] = None
-_COMPILED_PROBED = False
-
-
-def load_compiled() -> Optional[Any]:
-    """The :mod:`repro.core.kernels.compiled` module when its numba JIT
-    is usable, else ``None`` (numba or numpy missing/broken).  Probed
-    once per process."""
-    global _COMPILED_MOD, _COMPILED_PROBED
-    if not _COMPILED_PROBED:
-        _COMPILED_PROBED = True
-        if HAVE_NUMPY:
-            try:
-                from repro.core.kernels import compiled as _compiled
-            except Exception:  # pragma: no cover - broken numba install
-                _compiled = None  # type: ignore[assignment]
-            if _compiled is not None and _compiled.HAVE_NUMBA:
-                _COMPILED_MOD = _compiled
-    return _COMPILED_MOD
-
-
-def jit_available() -> bool:
-    """True when the ``[jit]`` extra's numba tier is importable."""
-    return load_compiled() is not None
-
-
 def resolve_backend(backend: str = "auto") -> str:
     """Resolve a backend request to a concrete tier name.
 
-    ``"auto"`` honours :data:`BACKEND_ENV_VAR` when set, otherwise
-    dispatches compiled → numpy → python by availability.  Pinning an
+    ``"auto"`` dispatches numpy → python by availability.  Pinning an
     unavailable tier raises :class:`~repro.exceptions.ConfigurationError`.
     """
     from repro.exceptions import ConfigurationError
 
     if backend == "auto":
-        pinned = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-        if pinned and pinned != "auto":
-            if pinned not in BACKEND_CHOICES:
-                raise ConfigurationError(
-                    f"{BACKEND_ENV_VAR}={pinned!r} is not a backend; "
-                    f"choose one of {', '.join(BACKEND_CHOICES)}"
-                )
-            return resolve_backend(pinned)
-        if jit_available():
-            return "compiled"
         return "numpy" if HAVE_NUMPY else "python"
-    if backend == "compiled":
-        if not jit_available():
-            raise ConfigurationError(
-                "backend='compiled' requested but the numba JIT tier is "
-                "not importable; install the [jit] extra or use "
-                "backend='auto'"
-            )
-        return "compiled"
     if backend == "numpy":
         if not HAVE_NUMPY:
             raise ConfigurationError(
@@ -136,62 +70,3 @@ def resolve_backend(backend: str = "auto") -> str:
         f"unknown fleet backend {backend!r}; choose one of "
         f"{', '.join(BACKEND_CHOICES)}"
     )
-
-
-def pin_jit_cache() -> Optional[str]:
-    """Pin ``NUMBA_CACHE_DIR`` to a shared writable directory.
-
-    ``@njit(cache=True)`` persists compiled machine code keyed by this
-    directory; pinning it *before* numba is imported (and before worker
-    processes fork) lets every sweep shard reuse the parent's compiled
-    cache instead of recompiling per process.  Prefers
-    ``<repo>/build/numba_cache`` when running from a checkout, else a
-    stable per-machine temp directory.  Respects a pre-set
-    ``NUMBA_CACHE_DIR``; returns the pinned path or ``None`` when no
-    writable location exists (numba then falls back to its default).
-    """
-    existing = os.environ.get("NUMBA_CACHE_DIR")
-    if existing:
-        return existing
-    target: Optional[Path] = None
-    for parent in Path(__file__).resolve().parents:
-        if (parent / "pyproject.toml").is_file():
-            target = parent / "build" / "numba_cache"
-            break
-    if target is None:  # installed package: no checkout root to anchor on
-        target = Path(tempfile.gettempdir()) / "repro-numba-cache"
-    try:
-        target.mkdir(parents=True, exist_ok=True)
-    except OSError:  # pragma: no cover - unwritable filesystem
-        return None
-    os.environ["NUMBA_CACHE_DIR"] = str(target)
-    return str(target)
-
-
-def warm_compiled() -> float:
-    """Compile every JIT fleet entry point on a tiny workload.
-
-    Benches and the CLI call this once up front so first-call
-    compilation (~seconds, amortized by the on-disk cache) never
-    pollutes a timed region.  Returns the compile wall-clock in seconds
-    (0.0 when the compiled tier is unavailable or already warm).
-    """
-    mod = load_compiled()
-    if mod is None:
-        return 0.0
-    return float(mod.warm_compiled())
-
-
-def maybe_warm_compiled(backend: str = "auto") -> float:
-    """:func:`warm_compiled`, but only when ``backend`` resolves to the
-    compiled tier; unresolvable requests are left to fail at the real
-    call site (returns 0.0 here)."""
-    from repro.exceptions import ConfigurationError
-
-    try:
-        resolved = resolve_backend(backend)
-    except ConfigurationError:
-        return 0.0
-    if resolved != "compiled":
-        return 0.0
-    return warm_compiled()

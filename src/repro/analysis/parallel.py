@@ -92,12 +92,6 @@ def parallel_map(
         return [func(item) for item in work]
     if chunksize is None:
         chunksize = max(1, len(work) // (workers * 4))
-    # Pin NUMBA_CACHE_DIR before the pool exists: workers inherit the
-    # environment, so every shard that touches the compiled fleet tier
-    # reloads the parent's on-disk JIT cache instead of recompiling.
-    from repro.accel import pin_jit_cache
-
-    pin_jit_cache()
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(func, work, chunksize=chunksize))

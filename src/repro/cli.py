@@ -496,13 +496,11 @@ def _cmd_verify_anonymous(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_statistical(args: argparse.Namespace) -> int:
-    from repro.accel import maybe_warm_compiled
-    from repro.simulator.fleet import FleetFault
+    from repro.faults.model import PulseDrop
     from repro.verification.statistical import run_statistical_check
 
     if args.topology is not None:
         return _cmd_verify_topology_statistical(args)
-    maybe_warm_compiled(args.backend)
     if args.algorithm == "anonymous":
         return _cmd_verify_anonymous(args)
     model = _fault_model_from_args(args)
@@ -514,7 +512,7 @@ def _cmd_verify_statistical(args: argparse.Namespace) -> int:
         if len(args.inject_drop) != 3:
             raise SystemExit("--inject-drop takes ROUND,NODE,INSTANCE")
         round_index, node, instance = args.inject_drop
-        drop = FleetFault(
+        drop = PulseDrop(
             round_index=round_index, node=node, direction="cw",
             instance=instance,
         )
@@ -553,7 +551,7 @@ def _cmd_verify_statistical(args: argparse.Namespace) -> int:
     print(f"samples              : {report.samples}")
     print(f"backend / scheduler  : {report.backend} / {report.scheduler}")
     print(f"seeds (ids, sched)   : {report.seed}, {report.sched_seed}")
-    if isinstance(fault, FleetFault):
+    if isinstance(fault, PulseDrop):
         print(
             f"injected fault       : drop 1 {fault.direction} pulse at "
             f"round {fault.round_index} toward node {fault.node} in "
@@ -603,7 +601,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.core.nonoriented import NonOrientedNode
     from repro.core.terminating import TerminatingNode
     from repro.core.warmup import WarmupNode
-    from repro.simulator.faults import FaultPlan, apply_fault_plan
+    from repro.faults.channel import apply_fault_model
+    from repro.faults.model import FaultModel
     from repro.simulator.ring import build_nonoriented_ring, build_oriented_ring
     from repro.verification import (
         ExplorationLimitExceeded,
@@ -638,9 +637,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
 
     ids = args.ids
-    fault_plan = None
+    fault_model = None
     if args.fault_drop or args.fault_duplicate:
-        fault_plan = FaultPlan(
+        fault_model = FaultModel(
             drop_rate=args.fault_drop,
             duplicate_rate=args.fault_duplicate,
             seed=args.fault_seed,
@@ -680,8 +679,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 args.algorithm
             ]
             network = build_oriented_ring([cls(i) for i in ids]).network
-        if fault_plan is not None:
-            apply_fault_plan(network, fault_plan)
+        if fault_model is not None:
+            apply_fault_model(network, fault_model)
         return network
 
     if graph is not None and args.invariants:
@@ -700,18 +699,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(f"algorithm            : {args.algorithm}")
     print(f"ids                  : {ids}")
-    if fault_plan is not None:
+    if fault_model is not None:
         print(
-            f"faults               : drop={fault_plan.drop_rate} "
-            f"duplicate={fault_plan.duplicate_rate} seed={fault_plan.seed}"
+            f"faults               : drop={fault_model.drop_rate} "
+            f"duplicate={fault_model.duplicate_rate} seed={fault_model.seed}"
         )
     if hooks:
         print(f"invariant hooks      : {[hook.__name__ for hook in hooks]}")
 
     reduction = args.reduction
-    if reduction == "por":  # deprecated PR 2 spelling
-        print("note: --reduction por is deprecated; using 'ample'")
-        reduction = "ample"
     if graph is not None and reduction in ("symmetry", "full"):
         # The ring-symmetry layer validates the ring builder convention
         # (it would raise ConfigurationError on these networks): general
@@ -723,7 +719,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"convention; downgrading to '{downgraded}' off-ring"
         )
         reduction = downgraded
-    if fault_plan is not None and reduction in ("symmetry", "full"):
+    if fault_model is not None and reduction in ("symmetry", "full"):
         # Per-channel fault profiles break the ring automorphisms, so the
         # symmetry layer would be unsound; drop to the strongest sound mode.
         downgraded = "sleep" if reduction == "full" else "ample"
@@ -798,7 +794,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     ok = result.confluent and result.quiescence_violations == 0
 
-    if fault_plan is None:
+    if fault_model is None:
         if graph is not None:
             from repro.core.kernels.ear import pulse_bound
 
@@ -910,10 +906,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.whp import measure_anonymous_success
     from repro.exceptions import ConfigurationError
 
-    if args.fleet:
-        from repro.accel import maybe_warm_compiled
-
-        maybe_warm_compiled(args.backend)
     engine = "fleet" if args.fleet else ("batched" if args.workload == "placements" else "scalar")
     print(
         f"sweep: workload={args.workload} n={args.n} trials={args.trials} "
@@ -987,11 +979,9 @@ def _parse_float_list(text: str) -> List[float]:
 
 
 def _cmd_faults_sweep(args: argparse.Namespace) -> int:
-    from repro.accel import maybe_warm_compiled
     from repro.analysis.degradation import measure_degradation
     from repro.exceptions import ConfigurationError
 
-    maybe_warm_compiled(args.backend)
     try:
         curve = measure_degradation(
             args.rates,
@@ -1069,7 +1059,6 @@ def _parse_restart_list(text: str) -> List[Optional[int]]:
 
 
 def _cmd_faults_search(args: argparse.Namespace) -> int:
-    from repro.accel import maybe_warm_compiled
     from repro.adversary import (
         EvalSettings,
         PlanSpace,
@@ -1081,7 +1070,6 @@ def _cmd_faults_search(args: argparse.Namespace) -> int:
     from repro.exceptions import ConfigurationError
     from repro.farm.keys import canonical_json
 
-    maybe_warm_compiled(args.backend)
     try:
         space = PlanSpace(
             n=args.n,
@@ -1196,12 +1184,10 @@ def _cmd_faults_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults_replay(args: argparse.Namespace) -> int:
-    from repro.accel import maybe_warm_compiled
     from repro.adversary import load_artifact, replay_artifact
     from repro.exceptions import ConfigurationError
     from repro.farm.keys import canonical_json
 
-    maybe_warm_compiled(args.backend)
     try:
         payload = load_artifact(args.artifact)
         outcome = replay_artifact(
@@ -1330,11 +1316,9 @@ def _farm_campaign_from_args(args: argparse.Namespace):
 
 
 def _cmd_farm_submit(args: argparse.Namespace) -> int:
-    from repro.accel import maybe_warm_compiled
     from repro.exceptions import ConfigurationError
     from repro.farm.service import Farm
 
-    maybe_warm_compiled(args.backend)
     try:
         campaign = _farm_campaign_from_args(args)
         outcome = Farm(args.root).submit(
@@ -1493,15 +1477,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--flips", type=_parse_bool_list, default=None,
                         help="port flips for nonoriented, e.g. 1,0,1")
     verify.add_argument("--reduction",
-                        choices=["full", "symmetry", "sleep", "ample", "none",
-                                 "por"],
+                        choices=["full", "symmetry", "sleep", "ample", "none"],
                         default="full",
                         help="reduction stack: full = ample + sleep sets + "
                              "ring-symmetry canonicalization (default); "
                              "symmetry = ample + symmetry; sleep = ample + "
                              "sleep sets; ample = persistent sets only; "
-                             "none: branch on every channel at every state "
-                             "(por is a deprecated alias of ample)")
+                             "none: branch on every channel at every state")
     verify.add_argument("--topology", default=None, metavar="SPEC",
                         help="verify the ear election on a 2-edge-connected "
                              "graph (same SPEC grammar as elect --topology): "
@@ -1632,7 +1614,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=list(BACKEND_CHOICES),
         default="auto",
-        help="fleet backend (auto prefers compiled, then numpy)",
+        help="fleet backend (auto prefers numpy)",
     )
     sweep.add_argument(
         "--min-rate",

@@ -19,7 +19,7 @@ What is **in** a key:
 
 What is deliberately **out**:
 
-* the *backend* (``compiled`` / ``numpy`` / ``python``) — the three
+* the *backend* (``numpy`` / ``python``) — the two
   tiers are bit-identical lowerings of the same kernels, pinned by the
   differential test battery, so a result computed on any tier is valid
   for all of them;

@@ -16,9 +16,6 @@ kernel ``SCHEMA``\\ s.  Each backend gets a thin compiler:
 All randomness is counter-based (:func:`roll_u64`): a decision is a pure
 function of ``(seed, kind, instance, round, channel, pulse)``, so any
 run — solo, sharded, or branched — replays bit-identically.
-
-The historical per-backend spellings (``FaultPlan``, ``FaultProfile``,
-``FleetFault``) survive as aliases over this model.
 """
 
 from repro.faults.channel import (
@@ -40,7 +37,6 @@ from repro.faults.model import (
     FaultBurst,
     FaultGroup,
     FaultModel,
-    FleetFault,
     GroupDrop,
     NodeCrash,
     PulseDrop,
@@ -51,7 +47,6 @@ from repro.faults.model import (
     roll_u64,
 )
 from repro.faults.profile import (
-    FaultProfile,
     ReplayProfile,
     build_fault_profile,
 )
@@ -64,9 +59,7 @@ __all__ = [
     "FaultBurst",
     "FaultGroup",
     "FaultModel",
-    "FaultProfile",
     "FaultyChannel",
-    "FleetFault",
     "GroupDrop",
     "NodeCrash",
     "PulseDrop",

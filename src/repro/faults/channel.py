@@ -67,11 +67,6 @@ class FaultyChannel(Channel):
         self.injected = 0
         self._send_index = 0
 
-    @property
-    def _plan(self) -> FaultModel:
-        """Deprecated alias kept for the pre-unification attribute name."""
-        return self.model
-
     def enqueue(self, send_seq: int, content: Any = None) -> None:
         index = self._send_index
         self._send_index += 1

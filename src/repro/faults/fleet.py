@@ -11,7 +11,7 @@ module lowers a :class:`~repro.faults.model.FaultModel` onto that loop:
   on a channel rolls independently), duplicates/spurious add at most one
   pulse per channel per round.
 * **deterministic drops** (:class:`~repro.faults.model.PulseDrop`)
-  reproduce the fleet's historical ``FleetFault`` semantics exactly.
+  remove in-flight pulses at the start of a chosen round.
 * **crashes** evaporate all deliveries toward the node while down (its
   state freezes: nothing is delivered, its pending is empty at round
   boundaries, so the kernels never touch it); a restart resets the node

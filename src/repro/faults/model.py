@@ -12,9 +12,8 @@ repo knows how to inject:
 
 * **channel faults** — per-send drop / duplicate / spurious-injection
   probabilities, optionally gated to a bounded :class:`FaultBurst` window;
-* **deterministic pulse drops** — :class:`PulseDrop` (the fleet's historical
-  ``FleetFault``): remove up to ``count`` in-flight pulses at the start of
-  a chosen round;
+* **deterministic pulse drops** — :class:`PulseDrop`: remove up to
+  ``count`` in-flight pulses at the start of a chosen round;
 * **node crashes** — :class:`NodeCrash`: from ``at_round`` the node absorbs
   nothing (deliveries toward it evaporate); with ``restart_after`` it
   reboots into its kernel ``init`` state (crash-restart);
@@ -157,7 +156,7 @@ class FaultBurst:
 
 @dataclass(frozen=True)
 class PulseDrop:
-    """One deterministic in-flight pulse loss (the fleet's ``FleetFault``).
+    """One deterministic in-flight pulse loss.
 
     At the *start* of fleet round ``round_index`` (1-based, before
     deliveries), up to ``count`` pulses currently in flight toward
@@ -184,11 +183,6 @@ class PulseDrop:
                 "fault round_index and count must be >= 1; "
                 f"got round_index={self.round_index}, count={self.count}"
             )
-
-
-#: Historical name (the fleet engine's original ad-hoc fault type);
-#: :class:`PulseDrop` is the canonical spelling in the unified language.
-FleetFault = PulseDrop
 
 
 @dataclass(frozen=True)
@@ -491,8 +485,7 @@ class FaultModel:
     Attributes:
         drop_rate: Per-send probability a pulse evaporates.
         duplicate_rate: Per-send probability an extra twin is injected
-            (drop wins when both would fire, as the original
-            ``FaultPlan`` defined).
+            (drop wins when both would fire).
         spurious_rate: Per-opportunity probability a pulse appears out of
             nowhere (event channels roll per send; the fleet rolls per
             channel per round — the same declarative rate, lowered to
@@ -631,12 +624,3 @@ class FaultModel:
         """Total pulses the ``index``-th send contributes (incl. spurious)."""
         copies, spurious = self.send_outcome(channel_id, index)
         return copies + (1 if spurious else 0)
-
-    # -- legacy FaultPlan construction surface ---------------------------
-
-    @classmethod
-    def from_plan(
-        cls, drop_rate: float = 0.0, duplicate_rate: float = 0.0, seed: int = 0
-    ) -> "FaultModel":
-        """Channel-rates-only model (the historical ``FaultPlan`` shape)."""
-        return cls(drop_rate=drop_rate, duplicate_rate=duplicate_rate, seed=seed)

@@ -5,9 +5,7 @@ in arbitrary branch orders — they cannot consume a live channel's fault
 counters.  Because every :class:`~repro.faults.model.FaultModel` decision
 is already a pure function of ``(channel_id, send_index)``, replay is
 just calling the model again: no cached RNG streams, no shared mutable
-state (the pre-unification ``FaultProfile`` lazily extended per-channel
-``random.Random`` streams; counter-based rolls made that machinery
-disappear).
+state.
 """
 
 from __future__ import annotations
@@ -56,10 +54,6 @@ class ReplayProfile:
     # fork it.
     def __deepcopy__(self, memo: dict) -> "ReplayProfile":
         return self
-
-
-#: Historical name from ``repro.verification.common``.
-FaultProfile = ReplayProfile
 
 
 def build_fault_profile(network: Network) -> Optional[ReplayProfile]:

@@ -56,7 +56,6 @@ from repro.simulator.trace import Trace
 from repro.simulator.fleet import (
     HAVE_NUMPY,
     AnonymousFleetResult,
-    FleetFault,
     FleetResult,
     FleetRoundView,
     run_anonymous_fleet,
@@ -66,23 +65,9 @@ from repro.simulator.fleet import (
     schedule_bit,
 )
 
-
-def __getattr__(name: str):
-    # Lazy so that `import repro.faults` (whose channel compiler imports
-    # repro.simulator.channel, triggering this package's init) never hits
-    # a half-initialized repro.faults.channel through the legacy
-    # repro.simulator.faults shim.
-    if name in ("FaultPlan", "FaultyChannel", "apply_fault_plan"):
-        from repro.simulator import faults as _faults
-
-        return getattr(_faults, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "HAVE_NUMPY",
     "AnonymousFleetResult",
-    "FleetFault",
     "FleetResult",
     "FleetRoundView",
     "run_anonymous_fleet",
@@ -115,9 +100,6 @@ __all__ = [
     "Scheduler",
     "all_standard_schedulers",
     "Trace",
-    "FaultPlan",
-    "FaultyChannel",
-    "apply_fault_plan",
     "render_event_log",
     "render_space_time",
     "summarize_counters",

@@ -53,23 +53,20 @@ Two fleet schedulers are provided:
 Statistical-checking hooks (:mod:`repro.verification.statistical`): the
 terminating fleet accepts an ``observer`` called with a
 :class:`FleetRoundView` after every round (post-drain, post-flight
-update) and a :class:`FleetFault` that removes in-flight pulses at the
-start of a chosen round — a seed-reproducible "lost pulse" whose
-downstream invariant violations the checker must catch.
+update) and a :class:`~repro.faults.model.PulseDrop` that removes
+in-flight pulses at the start of a chosen round — a seed-reproducible
+"lost pulse" whose downstream invariant violations the checker must
+catch.
 
-Backends.  ``backend="compiled"`` runs the numba-JIT per-instance loops
-of :mod:`repro.core.kernels.compiled`; ``backend="numpy"`` runs the SoA
-kernels on NumPy arrays; ``backend="python"`` runs the same per-instance
-round/phase/skip logic with scalar kernel states (instances are
-independent, so lockstep across the fleet and per-instance iteration
-produce identical trajectories); ``backend="auto"`` resolves through
-:func:`repro.accel.resolve_backend` (compiled → numpy → python,
-``REPRO_BACKEND`` overrides).  Runs the JIT loop cannot host — per-round
-observers, deterministic fault clauses — silently drop from compiled to
-the numpy columns (the fallback seam, docs/PERFORMANCE.md); the
-``backend`` field of the result records what actually ran.  NumPy and
-numba are optional extras (``[perf]`` / ``[jit]``) — every result is
-defined by the pure-Python semantics.
+Backends.  ``backend="numpy"`` runs the SoA kernels on NumPy arrays;
+``backend="python"`` runs the same per-instance round/phase/skip logic
+with scalar kernel states (instances are independent, so lockstep
+across the fleet and per-instance iteration produce identical
+trajectories); ``backend="auto"`` resolves through
+:func:`repro.accel.resolve_backend` (numpy → python by availability);
+the ``backend`` field of the result records what actually ran.  NumPy
+is an optional extra (``[perf]``) — every result is defined by the
+pure-Python semantics.
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.accel import HAVE_NUMPY
+from repro.accel import HAVE_NUMPY, resolve_backend
 from repro.accel import np as _np
 from repro.exceptions import ConfigurationError, SimulationLimitExceeded
 
@@ -134,15 +131,6 @@ def _np_schedule_bits(seed_mixed: int, n_instances: int, round_index: int, chann
         x = (x ^ (x >> u64(33))) * u64(_MIX_B)
         x = x ^ (x >> u64(33))
     return ((x >> u64(32)) & u64(1)).astype(bool)
-
-
-def _resolve_backend(backend: str) -> str:
-    """Dispatch through the shared registry (:mod:`repro.accel`):
-    ``"auto"`` prefers compiled → numpy → python by availability, and the
-    ``REPRO_BACKEND`` environment variable can pin one tier."""
-    from repro.accel import resolve_backend
-
-    return resolve_backend(backend)
 
 
 def _check_scheduler(scheduler: str) -> None:
@@ -232,18 +220,15 @@ class FleetResult:
         ]
 
 
-# The deterministic in-flight pulse loss moved into the unified fault
-# model; ``FleetFault`` remains the fleet's historical name for it.
 from repro.faults.fleet import merge_events as _merge_fault_events  # noqa: E402
 from repro.faults.model import FaultModel  # noqa: E402
-from repro.faults.model import PulseDrop as FleetFault  # noqa: E402
 
 
 def _fault_adapters(fault, n, algorithm):
     """Normalize the ``fault`` argument of the fleet entry points.
 
-    Accepts None, a single :class:`FleetFault` (historical), or a full
-    :class:`~repro.faults.model.FaultModel`; returns the per-direction
+    Accepts None, a single :class:`~repro.faults.model.PulseDrop`, or a
+    full :class:`~repro.faults.model.FaultModel`; returns the per-direction
     compiler(s) for ``algorithm`` or None for a no-op.
     """
     from repro.faults.fleet import DirectionFaults, TerminatingFaults
@@ -276,68 +261,6 @@ def _auto_watchdog(watchdog_rounds, faults, n):
     if watchdog_rounds is not None:
         return watchdog_rounds
     return 1024 + 128 * n if faults is not None else None
-
-
-def _compiled_downgrade(resolved, observer, adapter):
-    """The compiled tier's documented fallback seam.
-
-    Per-round observers and deterministic fault clauses (pulse drops,
-    crashes, corruptions) need Python callbacks *inside* the round loop,
-    which the JIT functions cannot host — those runs drop to the NumPy
-    columns (always importable when the compiled tier resolved, since
-    numba rides on numpy).  Rate-based channel faults stay compiled: the
-    counter hash is reimplemented in the JIT loop and cross-checked
-    value-for-value by the differential battery.
-    """
-    if resolved != "compiled":
-        return resolved
-    if observer is not None:
-        return "numpy"
-    if adapter is not None:
-        model = (adapter[0] if isinstance(adapter, tuple) else adapter).model
-        if (
-            model.drops
-            or model.crashes
-            or model.corruptions
-            or model.crash_rate
-            or model.groups
-        ):
-            return "numpy"
-    return resolved
-
-
-def _merge_compiled_events(adapter, events) -> None:
-    """Fold the JIT loop's random-fault counters (dropped / duplicated /
-    injected) into the adapter's event dict."""
-    if adapter is None:
-        return
-    for key, value in events.items():
-        adapter.events[key] += value
-
-
-def _compiled_warmup_direction(
-    gov_lists, shift, scheduler, seed, chan_offset, max_rounds,
-    adapter, instance_offset, watchdog,
-):
-    """Run one directional warmup block on the JIT tier; list-of-rows
-    outputs matching the pure-Python aggregation shape."""
-    # Direct module import (not accel.load_compiled) so tests can force
-    # this path and exercise the loop bodies interpreted, without numba.
-    from repro.core.kernels import compiled as jit
-
-    model = adapter.model if adapter is not None else None
-    rho, sigma, total, rounds, skips, stuck, events = jit.warmup_fleet(
-        gov_lists, shift, scheduler, seed, chan_offset, max_rounds,
-        model=model, instance_offset=instance_offset, watchdog=watchdog,
-    )
-    _merge_compiled_events(adapter, events)
-    # rounds/skips come back per instance so callers can aggregate them
-    # exactly like the per-instance python backend (max / sum — and, for
-    # the nonoriented pairing, max over per-instance direction sums).
-    return (
-        rho.tolist(), sigma.tolist(), total.tolist(),
-        rounds.tolist(), skips.tolist(), stuck.tolist(),
-    )
 
 
 @dataclass
@@ -642,16 +565,17 @@ def run_warmup_fleet(
         id_lists: One clockwise ID assignment per instance; all instances
             must share the same ring size (shard ragged sweeps by ``n``).
             Duplicates are allowed (Lemma 16), as in :func:`run_warmup`.
-        backend: ``"auto"`` (compiled → numpy → python by availability),
-            ``"compiled"``, ``"numpy"``, or ``"python"`` — identical
-            results by construction.
+        backend: ``"auto"`` (numpy → python by availability),
+            ``"numpy"``, or ``"python"`` — identical results by
+            construction.
         scheduler: ``"lockstep"`` (all-deliver rounds + lap-skip) or
             ``"seeded"`` (per-instance pseudo-random channel subsets).
         seed: Stream seed for the seeded scheduler.
         max_rounds: Safety bound on fleet rounds.
         faults: Optional :class:`~repro.faults.model.FaultModel` (or a
-            single :class:`FleetFault`) applied at the start of every
-            round; fault rolls key on the global instance index.
+            single :class:`~repro.faults.model.PulseDrop`) applied at the
+            start of every round; fault rolls key on the global instance
+            index.
         observer: Per-round statistical hook (direction data appears in
             the CW slots of the view; ``ids`` are governing thresholds).
         instance_offset: Global index of the first instance (sharding).
@@ -661,21 +585,11 @@ def run_warmup_fleet(
     from repro.core.kernels import warmup as kernel
 
     _check_scheduler(scheduler)
-    resolved = _resolve_backend(backend)
+    resolved = resolve_backend(backend)
     _, n = _check_fleet(id_lists, unique=False)
     adapter = _fault_adapters(faults, n, "warmup")
     watchdog = _auto_watchdog(watchdog_rounds, adapter, n)
-    resolved = _compiled_downgrade(resolved, observer, adapter)
-    if resolved == "compiled":
-        rho_rows, sigma_rows, totals, round_list, skip_list, unfinished = (
-            _compiled_warmup_direction(
-                id_lists, +1, scheduler, seed, 0, max_rounds,
-                adapter, instance_offset, watchdog,
-            )
-        )
-        rounds = max(round_list)
-        skips = sum(skip_list)
-    elif resolved == "numpy":
+    if resolved == "numpy":
         gov = _np.asarray(id_lists, dtype=_np.int64)
         rho, sigma, total, rounds, skips, stuck = _np_warmup_direction(
             gov, +1, scheduler, seed, 0, max_rounds,
@@ -1204,42 +1118,18 @@ def run_terminating_fleet(
     Statistical-checking hooks: ``observer`` is called with a
     :class:`FleetRoundView` after every round; ``fault`` accepts a full
     :class:`~repro.faults.model.FaultModel` or a single
-    :class:`FleetFault` (historical); ``instance_offset`` shifts the
+    :class:`~repro.faults.model.PulseDrop`; ``instance_offset`` shifts the
     global instance indices reported to both (sharded runs);
     ``watchdog_rounds`` bounds stuck runs (see :func:`run_warmup_fleet`).
     """
     from repro.core.common import LeaderState
 
     _check_scheduler(scheduler)
-    resolved = _resolve_backend(backend)
+    resolved = resolve_backend(backend)
     _, n = _check_fleet(id_lists, unique=True)
     adapter = _fault_adapters(fault, n, "terminating")
     watchdog = _auto_watchdog(watchdog_rounds, adapter, n)
-    resolved = _compiled_downgrade(resolved, observer, adapter)
-    if resolved == "compiled":
-        from repro.core.kernels import compiled as jit
-
-        model = adapter.model if adapter is not None else None
-        cols, round_arr, skip_arr, ignored, stuck, events = (
-            jit.terminating_fleet(
-                list(id_lists), scheduler, seed, max_rounds,
-                model=model, instance_offset=instance_offset,
-                watchdog=watchdog,
-            )
-        )
-        rounds = int(round_arr.max())
-        skips = int(skip_arr.sum())
-        _merge_compiled_events(adapter, events)
-        rho_cw_rows = cols["rho_cw"].tolist()
-        rho_ccw_rows = cols["rho_ccw"].tolist()
-        sigma_cw_rows = cols["sigma_cw"].tolist()
-        sigma_ccw_rows = cols["sigma_ccw"].tolist()
-        leader_rows = cols["out_leader"].tolist()
-        term_rows = cols["terminated"].tolist()
-        term_sent_rows = cols["term_sent"].tolist()
-        totals = cols["total"].tolist()
-        unfinished = stuck.tolist()
-    elif resolved == "numpy":
+    if resolved == "numpy":
         ids_arr = _np.asarray(id_lists, dtype=_np.int64)
         cols, total, rounds, skips, ignored, stuck = _np_terminating(
             ids_arr,
@@ -1366,7 +1256,7 @@ def run_nonoriented_fleet(
     from repro.core.kernels import nonoriented as kernel
 
     _check_scheduler(scheduler)
-    resolved = _resolve_backend(backend)
+    resolved = resolve_backend(backend)
     B, n = _check_fleet(id_lists, unique=require_unique_ids)
     adapters = _fault_adapters(faults, n, "nonoriented")
     adapter_cw, adapter_ccw = adapters if adapters is not None else (None, None)
@@ -1390,28 +1280,7 @@ def run_nonoriented_fleet(
         [id_scheme.virtual_ids(ids[v])[1 - cw_ports[b][v]] for v in range(n)]
         for b, ids in enumerate(id_lists)
     ]
-    resolved = _compiled_downgrade(resolved, observer, adapters)
-    if resolved == "compiled":
-        rho_cw_rows, sigma_cw_rows, totals_cw, rounds_cw, skips_cw, stuck_cw = (
-            _compiled_warmup_direction(
-                gov_cw, +1, scheduler, seed, 0, max_rounds,
-                adapter_cw, instance_offset, watchdog,
-            )
-        )
-        rho_ccw_rows, sigma_ccw_rows, totals_ccw, rounds_ccw, skips_ccw, stuck_ccw = (
-            _compiled_warmup_direction(
-                gov_ccw, -1, scheduler, seed, n, max_rounds,
-                adapter_ccw, instance_offset, watchdog,
-            )
-        )
-        totals = [a + b for a, b in zip(totals_cw, totals_ccw)]
-        # Per-instance pairing like the python backend: each instance's
-        # two directional runs are sequential, so its round count is the
-        # sum, and the fleet count is the max over instances.
-        rounds = max(a + b for a, b in zip(rounds_cw, rounds_ccw))
-        skips = sum(skips_cw) + sum(skips_ccw)
-        unfinished = [a or b for a, b in zip(stuck_cw, stuck_ccw)]
-    elif resolved == "numpy":
+    if resolved == "numpy":
         rho_cw, sigma_cw, total_cw, rounds_cw, skips_cw, stuck_cw = (
             _np_warmup_direction(
                 _np.asarray(gov_cw, dtype=_np.int64), +1, scheduler, seed, 0,
@@ -1602,7 +1471,7 @@ class EarFleetResult:
 
     The fleet simulates the graph's *oriented virtual ring* (one warm-up
     row of length ``L`` per instance — the ear kernel is Algorithm 1 over
-    virtual IDs, so the whole compiled/numpy/python tier applies
+    virtual IDs, so the whole numpy/python tier applies
     unchanged).  The physical view is reconstructed through the routing:
     per-vertex verdicts, and per-*port* pulse counters laid out in the
     topology's CSR port-offset table (``port_offsets[v] + p`` indexes

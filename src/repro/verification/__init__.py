@@ -28,17 +28,15 @@ explored, the reduction factor, confluence, and the exact-message-count
 certification (e.g. Theorem 1's :math:`n(2\\cdot\\mathsf{ID}_{max}+1)`).
 """
 
-from repro.verification.common import (
-    EngineView,
-    FaultProfile,
-    VisitedStore,
-    build_fault_profile,
+from repro.core.schema import (
     freeze_value,
     node_fingerprint,
     node_state_dict,
     pack_frozen,
     packed_fingerprint,
 )
+from repro.faults.profile import build_fault_profile
+from repro.verification.common import EngineView, VisitedStore
 from repro.verification.explorer import (
     ExplorationLimitExceeded,
     ExplorationResult,
@@ -55,7 +53,6 @@ __all__ = [
     "EngineView",
     "ExplorationLimitExceeded",
     "ExplorationResult",
-    "FaultProfile",
     "GroupElement",
     "REDUCTION_MODES",
     "ReducedExplorationResult",

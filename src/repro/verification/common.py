@@ -4,25 +4,18 @@ Two concerns live here so that :mod:`repro.verification.explorer` (the
 trusted reference search) and :mod:`repro.verification.reduced` (the
 partial-order-reduced search) stay byte-for-byte comparable:
 
-* **Fingerprint freezing** — :func:`freeze_value` converts arbitrary node
-  state into hashable, order-stable tuples; :func:`node_fingerprint` is
-  the canonical "all node states" digest both explorers (and the
-  differential tests, via live :class:`~repro.simulator.engine.Engine`
-  runs) use to compare terminal states.  The canonical implementations
-  now live in :mod:`repro.core.schema` (next to the kernel state
-  schemas); this module re-exports them unchanged.
 * **Invariant-hook adapters** — the executable lemmas in
   :mod:`repro.core.invariants` are written against a running engine but
   only ever touch ``engine.network.nodes`` and
   ``engine.network.pending_messages()``.  :class:`EngineView` provides
   exactly that surface for an explorer state, so the same hook objects
   certify invariants at every explored state.
+* **The visited set** — :class:`VisitedStore`, in memory or spilled to
+  an on-disk table.
 
-Fault emulation — historically a third concern here — moved to
-:mod:`repro.faults.profile`: :class:`~repro.faults.profile.ReplayProfile`
-replays a faulted network's per-send decisions as a pure function of
-``(channel_id, send_index)``, with no cached RNG streams.  ``FaultProfile``
-and :func:`build_fault_profile` remain importable from here as aliases.
+State fingerprints (:func:`~repro.core.schema.node_fingerprint` and
+friends) live in :mod:`repro.core.schema`, next to the kernel state
+schemas; fault replay lives in :mod:`repro.faults.profile`.
 """
 
 from __future__ import annotations
@@ -31,19 +24,6 @@ import os
 import sqlite3
 import tempfile
 from typing import Any, Callable, FrozenSet, Iterable, Optional, Sequence
-
-from repro.core.schema import (  # noqa: F401  (re-exported, canonical home)
-    freeze_value,
-    node_fingerprint,
-    node_state_dict,
-    pack_frozen,
-    packed_fingerprint,
-)
-from repro.faults.profile import (  # noqa: F401  (re-exported, canonical home)
-    FaultProfile,
-    ReplayProfile,
-    build_fault_profile,
-)
 
 
 class _NetworkFacade:

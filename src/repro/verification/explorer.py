@@ -43,7 +43,8 @@ from repro.exceptions import ProtocolViolation, ReproError
 from repro.simulator.network import Network
 from repro.simulator.node import NodeAPI, check_port
 from repro.core.schema import freeze_value, node_fingerprint
-from repro.verification.common import build_fault_profile, run_state_checks
+from repro.faults.profile import build_fault_profile
+from repro.verification.common import run_state_checks
 
 #: An engine-style invariant hook, evaluated at every explored state via
 #: an :class:`~repro.verification.common.EngineView` adapter.

@@ -86,10 +86,10 @@ from repro.core.schema import (
     node_state_dict,
     pack_frozen,
 )
+from repro.faults.profile import build_fault_profile
 from repro.verification.common import (
     EngineView,
     VisitedStore,
-    build_fault_profile,
     run_state_checks,
 )
 from repro.verification.explorer import ExplorationLimitExceeded, StateHook

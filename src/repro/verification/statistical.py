@@ -49,7 +49,7 @@ the pass-rate, and the interval inherits the conservatism).
 Fault injection serves two roles:
 
 * **Self-test** (``repro verify --statistical --inject-drop``): a
-  :class:`~repro.simulator.fleet.FleetFault` deletes in-flight pulses at
+  :class:`~repro.faults.model.PulseDrop` deletes in-flight pulses at
   a chosen round.  Pulse loss is outside the model, so a correct kernel
   + invariant battery must flag it, demonstrating the full find →
   localize → replay loop.
@@ -69,6 +69,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.accel import resolve_backend
 from repro.analysis.parallel import (
     ProcessCount,
     parallel_map,
@@ -80,10 +81,9 @@ from repro.core.common import LeaderState
 from repro.core.invariants import InvariantViolation, column_invariants_for
 from repro.exceptions import ConfigurationError
 from repro.faults.fleet import merge_events
-from repro.faults.model import FaultModel
+from repro.faults.model import FaultModel, PulseDrop
 from repro.simulator.fleet import (
     DEFAULT_MAX_ROUNDS,
-    FleetFault,
     FleetResult,
     _mix64,
     run_nonoriented_fleet,
@@ -102,7 +102,7 @@ _KEY_SAMPLE = 0xA24BAED4963EE407  # odd constant for the per-sample stream
 _KEY_FLIP = 0x9E6C63D0876A9A35  # odd constant for the per-sample flip stream
 
 #: Anything the fleet entry points accept as a fault argument.
-FaultArg = Optional[Union[FleetFault, FaultModel]]
+FaultArg = Optional[Union[PulseDrop, FaultModel]]
 
 
 def ids_for_instance(seed: int, index: int, n: int, id_max: int) -> List[int]:
@@ -522,17 +522,6 @@ def _validate_common(
         raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
 
 
-def _resolved_backend(backend: str) -> str:
-    """Report label only (the fleet re-resolves per block): the shared
-    registry's dispatch, compiled → numpy → python.  Note the invariant
-    checker always installs a per-round observer, which the compiled
-    tier cannot host — those blocks run on the numpy columns (the
-    fallback seam); the observer-free recovery harness keeps the JIT."""
-    from repro.accel import resolve_backend
-
-    return resolve_backend(backend)
-
-
 def run_statistical_check(
     algorithm: str = "terminating",
     n: int = 8,
@@ -569,7 +558,7 @@ def run_statistical_check(
         block_size: Instances per fleet run.
         confidence: Clopper–Pearson coverage for the pass-rate interval.
         fault: Optional injected fault — a single
-            :class:`~repro.simulator.fleet.FleetFault` pulse loss (the
+            :class:`~repro.faults.model.PulseDrop` pulse loss (the
             checker's classic self-test) or a full
             :class:`~repro.faults.model.FaultModel`.
         max_counterexamples: How many violations to localize exactly
@@ -607,7 +596,7 @@ def run_statistical_check(
         (pair for shard in per_shard for pair in shard), key=lambda p: p[0]
     )
 
-    resolved_backend = _resolved_backend(backend)
+    resolved_backend = resolve_backend(backend)
     counterexamples = [
         Counterexample(
             instance=index,
@@ -859,7 +848,7 @@ def run_recovery_shard(
     """
     if faults is None:
         faults = FaultModel.none()
-    if isinstance(faults, FleetFault):
+    if isinstance(faults, PulseDrop):
         faults = FaultModel(drops=(faults,))
     return _recovery_worker(
         (
@@ -964,7 +953,7 @@ def run_recovery_check(
     _validate_common(algorithm, samples, n, id_max, block_size)
     if faults is None:
         faults = FaultModel.none()
-    if isinstance(faults, FleetFault):
+    if isinstance(faults, PulseDrop):
         faults = FaultModel(drops=(faults,))
 
     indices = list(range(samples))
@@ -999,7 +988,7 @@ def run_recovery_check(
             events = merge_events(events, shard_events)
     non_recovered.sort(key=lambda t: t[0])
 
-    resolved_backend = _resolved_backend(backend)
+    resolved_backend = resolve_backend(backend)
     counterexamples: List[Counterexample] = []
     for index, classification, message in non_recovered[:max_counterexamples]:
         ids = ids_for_instance(seed, index, n, id_max)
@@ -1186,7 +1175,7 @@ def run_anonymous_whp_check(
     low, high = clopper_pearson_interval(
         successes, trials, confidence=confidence
     )
-    resolved_backend = _resolved_backend(backend)
+    resolved_backend = resolve_backend(backend)
     counterexamples = [
         AnonymousCounterexample(
             attempt_seed=s,
@@ -1461,7 +1450,7 @@ def run_topology_check(
         )
     failures.sort(key=lambda pair: pair[0])
 
-    resolved_backend = _resolved_backend(backend)
+    resolved_backend = resolve_backend(backend)
     edges = tuple(sorted(graph.edges))
     counterexamples = [
         TopologyCounterexample(

@@ -10,10 +10,17 @@ and the paper's *exact* pulse count (the kernel's ``pulse_bound``).
 
 The fleet rows are reconstructed into per-node dicts and fingerprinted
 through the very same schema — no backend gets its own comparison
-logic.
+logic.  The backend registry (:func:`repro.accel.resolve_backend`)
+that picks the fleet row is pinned at the end of the file.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +32,8 @@ from repro.core.kernels import warmup as warmup_kernel
 from repro.core.nonoriented import IdScheme, run_nonoriented
 from repro.core.terminating import run_terminating
 from repro.core.warmup import run_warmup
-from repro.accel import jit_available
+from repro.accel import BACKEND_CHOICES, resolve_backend
+from repro.exceptions import ConfigurationError
 from repro.simulator.fleet import (
     HAVE_NUMPY,
     run_nonoriented_fleet,
@@ -37,14 +45,7 @@ from repro.synchronous import KernelSyncNode, SyncEngine
 
 from strategies import flipped_rings, unique_id_lists
 
-# The compiled tier joins the matrix only when numba imports; without it
-# the tier's rows skip cleanly rather than fail (the interpreted loop
-# bodies are covered by tests/test_compiled_kernels.py regardless).
-FLEET_BACKENDS = (
-    ["python"]
-    + (["numpy"] if HAVE_NUMPY else [])
-    + (["compiled"] if jit_available() else [])
-)
+FLEET_BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 SCHEDULERS = ["lockstep", "seeded"]
 
 INSTANCES = [
@@ -283,3 +284,58 @@ def test_terminating_sync_outputs_are_leader_states():
     assert [out is LeaderState.LEADER for out in result.outputs] == [
         node_id == max(ids) for node_id in ids
     ]
+
+
+# -- the backend registry ----------------------------------------------------
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestBackendRegistry:
+    def test_auto_matches_availability(self):
+        assert resolve_backend("auto") == ("numpy" if HAVE_NUMPY else "python")
+
+    def test_unknown_backend_lists_choices(self):
+        assert BACKEND_CHOICES == ("auto", "numpy", "python")
+        with pytest.raises(ConfigurationError, match="auto, numpy, python"):
+            resolve_backend("gpu")
+
+    def test_numpy_pin_without_numpy_names_perf_extra(self, monkeypatch):
+        import repro.accel
+
+        monkeypatch.setattr(repro.accel, "HAVE_NUMPY", False)
+        with pytest.raises(ConfigurationError, match=r"\[perf\]"):
+            resolve_backend("numpy")
+        assert resolve_backend("auto") == "python"
+
+    def test_auto_resolution_has_no_side_effects(self):
+        """A fresh process running the ``auto`` fleet leaves the
+        environment and the checkout alone: no ``NUMBA_CACHE_DIR`` is
+        pinned and nothing appears under ``build/``."""
+        build = REPO_ROOT / "build"
+        before = sorted(build.rglob("*")) if build.exists() else None
+        script = textwrap.dedent(
+            """
+            import os
+
+            from repro.simulator.fleet import run_terminating_fleet
+
+            result = run_terminating_fleet([[3, 1, 2]], backend="auto")
+            assert result.leaders == [[0]], result.leaders
+            print(os.environ.get("NUMBA_CACHE_DIR"))
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if k != "NUMBA_CACHE_DIR"}
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "None"
+        after = sorted(build.rglob("*")) if build.exists() else None
+        assert after == before

@@ -21,7 +21,7 @@ from repro.core.warmup import run_warmup
 from repro.exceptions import ConfigurationError
 from repro.simulator.channel import Channel
 from repro.simulator.engine import Engine
-from repro.simulator.faults import FaultPlan, apply_fault_plan, total_faults
+from repro.faults import FaultModel, apply_fault_model, total_faults
 from repro.simulator.ring import build_oriented_ring
 from repro.simulator.scheduler import all_standard_schedulers
 
@@ -115,7 +115,7 @@ class TestFaultFallback:
     def _run(self, ids, plan, batched):
         nodes = [TerminatingNode(node_id) for node_id in ids]
         topology = build_oriented_ring(nodes)
-        apply_fault_plan(topology.network, plan)
+        apply_fault_model(topology.network, plan)
         result = Engine(
             topology.network, max_steps=200_000, batched=batched
         ).run()
@@ -124,7 +124,7 @@ class TestFaultFallback:
     @pytest.mark.parametrize("seed", range(8))
     def test_faulty_runs_identical_batched_or_not(self, seed):
         ids = [4, 9, 2, 7]
-        plan = FaultPlan(drop_rate=0.15, duplicate_rate=0.15, seed=seed)
+        plan = FaultModel(drop_rate=0.15, duplicate_rate=0.15, seed=seed)
         nodes_a, run_a, net_a = self._run(ids, plan, batched=False)
         nodes_b, run_b, net_b = self._run(ids, plan, batched=True)
         assert not any(channel.counting for channel in net_b.channels)

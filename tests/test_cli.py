@@ -149,6 +149,23 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["elect", "--ids", "3,x,5"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--workload", "placements", "--n", "4", "--trials", "2",
+             "--fleet", "--backend", "compiled"],
+            ["verify", "--statistical", "--backend", "compiled"],
+            ["verify", "--ids", "2,3,1", "--reduction", "por"],
+        ],
+        ids=["sweep-backend-compiled", "verify-backend-compiled",
+             "reduction-por"],
+    )
+    def test_argparse_rejects_with_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestFarm:
     def _submit_args(self, root, *extra):

@@ -13,39 +13,39 @@ from repro.core.terminating import TerminatingNode
 from repro.core.warmup import WarmupNode
 from repro.exceptions import ConfigurationError, SimulationLimitExceeded
 from repro.simulator.engine import Engine
-from repro.simulator.faults import FaultPlan, FaultyChannel, apply_fault_plan, total_faults
+from repro.faults import FaultModel, FaultyChannel, apply_fault_model, total_faults
 from repro.simulator.ring import build_oriented_ring
 
 
 def run_with_faults(node_cls, ids, plan, max_steps=200_000):
     nodes = [node_cls(node_id) for node_id in ids]
     topology = build_oriented_ring(nodes)
-    apply_fault_plan(topology.network, plan)
+    apply_fault_model(topology.network, plan)
     engine = Engine(topology.network, max_steps=max_steps)
     result = engine.run()
     return nodes, result, topology.network
 
 
-class TestFaultPlanValidation:
+class TestFaultModelValidation:
     def test_rates_must_be_probabilities(self):
         with pytest.raises(ConfigurationError):
-            FaultPlan(drop_rate=1.5)
+            FaultModel(drop_rate=1.5)
         with pytest.raises(ConfigurationError):
-            FaultPlan(drop_rate=-0.1, duplicate_rate=0.1)
+            FaultModel(drop_rate=-0.1, duplicate_rate=0.1)
 
     def test_noop_plan_is_accepted(self):
         # The all-zero plan is the explicit "no faults" value so sweeps and
         # CLI call sites need not branch on None (rejection of a pointless
         # plan is a CLI-level warning only).
-        plan = FaultPlan()
+        plan = FaultModel()
         assert plan.is_noop
-        assert FaultPlan.none().is_noop
+        assert FaultModel.none().is_noop
         nodes, result, network = run_with_faults(WarmupNode, [2, 5, 3], plan)
         assert total_faults(network) == (0, 0)
         assert all(node.state is not None for node in nodes)
 
     def test_plan_is_reproducible(self):
-        plan = FaultPlan(drop_rate=0.3, seed=5)
+        plan = FaultModel(drop_rate=0.3, seed=5)
         _n1, r1, net1 = run_with_faults(WarmupNode, [2, 5, 3], plan)
         _n2, r2, net2 = run_with_faults(WarmupNode, [2, 5, 3], plan)
         assert r1.total_sent == r2.total_sent
@@ -56,14 +56,14 @@ class TestFaultPlanValidation:
         topology = build_oriented_ring(nodes)
         topology.network.channels[0].enqueue(send_seq=1)
         with pytest.raises(ConfigurationError):
-            apply_fault_plan(topology.network, FaultPlan(drop_rate=0.5))
+            apply_fault_model(topology.network, FaultModel(drop_rate=0.5))
 
 
 class TestPulseLossBreaksTheGuarantees:
     def test_warmup_loses_conservation(self):
         # Lemma 6/Corollary 13 need every pulse conserved: with drops the
         # stabilized counters fall short of IDmax somewhere.
-        plan = FaultPlan(drop_rate=0.4, seed=1)
+        plan = FaultModel(drop_rate=0.4, seed=1)
         nodes, result, network = run_with_faults(WarmupNode, [3, 9, 5, 2], plan)
         dropped, _ = total_faults(network)
         assert dropped > 0
@@ -74,7 +74,7 @@ class TestPulseLossBreaksTheGuarantees:
         # unique correct leader (the max-ID node in state Leader alone).
         bad_runs = 0
         for seed in range(20):
-            plan = FaultPlan(drop_rate=0.5, seed=seed)
+            plan = FaultModel(drop_rate=0.5, seed=seed)
             nodes, _result, network = run_with_faults(WarmupNode, [3, 9, 5, 2], plan)
             if total_faults(network)[0] == 0:
                 continue
@@ -88,7 +88,7 @@ class TestPulseLossBreaksTheGuarantees:
         # dropped pulses strand nodes in non-terminated limbo.
         stuck_runs = 0
         for seed in range(10):
-            plan = FaultPlan(drop_rate=0.3, seed=seed)
+            plan = FaultModel(drop_rate=0.3, seed=seed)
             nodes, result, network = run_with_faults(
                 TerminatingNode, [3, 9, 5, 2], plan
             )
@@ -107,7 +107,7 @@ class TestPulseInjectionBreaksTheGuarantees:
         # signatures.
         signatures = 0
         for seed in range(10):
-            plan = FaultPlan(duplicate_rate=0.3, seed=seed)
+            plan = FaultModel(duplicate_rate=0.3, seed=seed)
             try:
                 nodes, _result, network = run_with_faults(
                     WarmupNode, [3, 9, 5, 2], plan, max_steps=20_000
@@ -122,7 +122,7 @@ class TestPulseInjectionBreaksTheGuarantees:
         assert signatures > 0
 
     def test_counters_track_fault_kinds(self):
-        plan = FaultPlan(drop_rate=0.2, duplicate_rate=0.2, seed=3)
+        plan = FaultModel(drop_rate=0.2, duplicate_rate=0.2, seed=3)
         try:
             _nodes, _result, network = run_with_faults(
                 WarmupNode, [4, 8, 6], plan, max_steps=20_000
@@ -148,7 +148,7 @@ class TestPulseLossBreaksOrientation:
             topology = build_nonoriented_ring(
                 nodes, flips=[True, False, True, False]
             )
-            apply_fault_plan(topology.network, FaultPlan(drop_rate=0.3, seed=seed))
+            apply_fault_model(topology.network, FaultModel(drop_rate=0.3, seed=seed))
             run = Engine(topology.network, max_steps=100_000).run()
             outcome = NonOrientedOutcome(
                 ids=ids, nodes=nodes, topology=topology, run=run,
@@ -165,7 +165,7 @@ class TestFaultyChannelUnit:
     def test_certain_drop(self):
         base_nodes = [WarmupNode(1), WarmupNode(2)]
         topology = build_oriented_ring(base_nodes)
-        channel = FaultyChannel(topology.network.channels[0], FaultPlan(drop_rate=1.0))
+        channel = FaultyChannel(topology.network.channels[0], FaultModel(drop_rate=1.0))
         channel.enqueue(send_seq=1)
         channel.enqueue(send_seq=2)
         assert channel.pending == 0
@@ -175,7 +175,7 @@ class TestFaultyChannelUnit:
         base_nodes = [WarmupNode(1), WarmupNode(2)]
         topology = build_oriented_ring(base_nodes)
         channel = FaultyChannel(
-            topology.network.channels[0], FaultPlan(duplicate_rate=1.0)
+            topology.network.channels[0], FaultModel(duplicate_rate=1.0)
         )
         channel.enqueue(send_seq=1)
         assert channel.pending == 2

@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.accel import jit_available
 from repro.core.warmup import WarmupNode
 from repro.exceptions import ConfigurationError
 from repro.faults import apply_fault_model, merge_events
@@ -32,11 +31,7 @@ from repro.verification.statistical import run_recovery_shard
 
 from strategies import fault_groups
 
-FLEET_BACKENDS = (
-    ["python"]
-    + (["numpy"] if HAVE_NUMPY else [])
-    + (["compiled"] if jit_available() else [])
-)
+FLEET_BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 
 
 class TestGroupValidation:
@@ -111,15 +106,15 @@ class TestGroupValidation:
             apply_fault_model(topology.network, model)
 
     def test_groups_disable_lap_skips(self):
-        """Threshold triggers must observe every round, so the compiled
+        """Threshold triggers must observe every round, so the fleet
         direction adapter runs skip-free whenever groups are present."""
         from repro.faults.fleet import DirectionFaults
 
         grouped = FaultModel(
             groups=(FaultGroup(anchor=0, at_round=1, crash=True),)
         )
-        compiled = DirectionFaults(grouped, 4, "cw", 1, 0, "warmup")
-        assert not compiled.allow_skips
+        adapter = DirectionFaults(grouped, 4, "cw", 1, 0, "warmup")
+        assert not adapter.allow_skips
         clean = DirectionFaults(
             FaultModel(drop_rate=0.1), 4, "cw", 1, 0, "warmup"
         )

@@ -28,7 +28,6 @@ from repro.faults import (
     FaultBurst,
     FaultModel,
     FaultyChannel,
-    FleetFault,
     NodeCrash,
     PulseDrop,
     StateCorruption,
@@ -104,7 +103,6 @@ class TestModelValidation:
             PulseDrop(round_index=1, node=0, direction="sideways")
         with pytest.raises(ConfigurationError):
             PulseDrop(round_index=0, node=0)
-        assert FleetFault is PulseDrop  # historical alias survives
 
     def test_corruptible_fields_trace_to_kernel_schemas(self):
         assert corruptible_fields("warmup") == ("rho_cw", "sigma_cw")
@@ -211,7 +209,7 @@ class TestFaultyChannelSeededReplay:
         assert counts[0][1]["dropped"] + counts[0][1]["duplicated"] > 0
 
 
-class TestFleetFaultEvents:
+class TestFleetEventCounters:
     def test_fault_events_reported_and_mergeable(self):
         model = FaultModel(drop_rate=0.05, seed=3)
         result = run_nonoriented_fleet(
@@ -277,8 +275,8 @@ class TestRecoveryHarness:
         assert report.stuck == 16
         assert report.counterexamples[0].classification == "stuck"
 
-    def test_legacy_fleet_fault_still_accepted(self):
-        drop = FleetFault(round_index=3, node=1, instance=2)
+    def test_single_pulse_drop_accepted(self):
+        drop = PulseDrop(round_index=3, node=1, instance=2)
         report = run_recovery_check(
             algorithm="terminating", n=4, id_max=30, samples=8,
             block_size=8, faults=drop, max_counterexamples=1,

@@ -35,11 +35,10 @@ from repro.exceptions import ConfigurationError
 from repro.faults import (
     FaultBurst,
     FaultModel,
-    FleetFault,
     NodeCrash,
+    PulseDrop,
     StateCorruption,
 )
-from repro.accel import jit_available
 from repro.ids.sampling import GeometricIdSampler
 from repro.simulator.fleet import (
     HAVE_NUMPY,
@@ -52,14 +51,7 @@ from repro.simulator.fleet import (
 
 from strategies import flipped_rings, unique_id_lists
 
-# "compiled" rides along only when numba imports (clean skip otherwise);
-# its interpreted loop bodies are exercised by test_compiled_kernels.py
-# either way, so CI without the [jit] extra still covers the logic.
-BACKENDS = (
-    ["python"]
-    + (["numpy"] if HAVE_NUMPY else [])
-    + (["compiled"] if jit_available() else [])
-)
+BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 SCHEDULERS = ["lockstep", "seeded"]
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
@@ -286,8 +278,8 @@ FAULT_MODELS = [
     FaultModel(drop_rate=0.08, seed=5),
     FaultModel(duplicate_rate=0.08, spurious_rate=0.05, seed=7,
                burst=FaultBurst(start=2, length=4)),
-    FaultModel(drops=(FleetFault(round_index=2, node=0),
-                      FleetFault(round_index=4, node=1, direction="ccw"))),
+    FaultModel(drops=(PulseDrop(round_index=2, node=0),
+                      PulseDrop(round_index=4, node=1, direction="ccw"))),
     FaultModel(crashes=(NodeCrash(node=1, at_round=3),)),
     FaultModel(crashes=(NodeCrash(node=0, at_round=2, restart_after=3),)),
     FaultModel(corruptions=(StateCorruption(node=1, at_round=3,
@@ -372,66 +364,6 @@ class TestFaultedBackendBitIdentity:
             solo = run_warmup_fleet([fast], backend=backend, faults=model)
             assert (batch.states[0], batch.rho_cw[0], batch.total_pulses[0]) \
                 == (solo.states[0], solo.rho_cw[0], solo.total_pulses[0])
-
-
-@pytest.mark.skipif(not jit_available(), reason="numba not installed")
-class TestThreeWayBitIdentity:
-    """python / numpy / compiled must agree column-for-column, faulted or
-    not.  Deterministic-clause models exercise the compiled tier's
-    documented downgrade seam (it hands those to numpy) — the outward
-    result must be identical either way.  Runs only with the ``[jit]``
-    extra installed; the same loop bodies run interpreted (without
-    numba) in tests/test_compiled_kernels.py."""
-
-    POOL = [[3, 1, 4, 2], [2, 4, 1, 3], [4, 3, 2, 1]]
-
-    @pytest.mark.parametrize("model", [None] + FAULT_MODELS)
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_terminating(self, model, scheduler):
-        results = [
-            run_terminating_fleet(self.POOL, backend=backend,
-                                  scheduler=scheduler, fault=model)
-            for backend in ("python", "numpy", "compiled")
-        ]
-        keys = [
-            (r.leaders, r.states, r.total_pulses, r.rho_cw, r.rho_ccw,
-             r.sigma_cw, r.sigma_ccw, r.term_pulse_sent, r.unfinished,
-             r.fault_events)
-            for r in results
-        ]
-        assert keys[0] == keys[1] == keys[2]
-
-    @pytest.mark.parametrize("model", [None] + FAULT_MODELS)
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_warmup(self, model, scheduler):
-        results = [
-            run_warmup_fleet(self.POOL, backend=backend,
-                             scheduler=scheduler, faults=model)
-            for backend in ("python", "numpy", "compiled")
-        ]
-        keys = [
-            (r.leaders, r.states, r.total_pulses, r.rho_cw,
-             r.unfinished, r.fault_events)
-            for r in results
-        ]
-        assert keys[0] == keys[1] == keys[2]
-
-    @pytest.mark.parametrize("model", [None] + FAULT_MODELS)
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_nonoriented(self, model, scheduler):
-        pool = [[3, 1, 4, 2], [2, 4, 1, 3]]
-        flips = [[True, False, False, True], [False, True, True, False]]
-        results = [
-            run_nonoriented_fleet(pool, flip_lists=flips, backend=backend,
-                                  scheduler=scheduler, faults=model)
-            for backend in ("python", "numpy", "compiled")
-        ]
-        keys = [
-            (r.leaders, r.states, r.total_pulses, r.rho_cw, r.rho_ccw,
-             r.cw_port_labels, r.unfinished, r.fault_events)
-            for r in results
-        ]
-        assert keys[0] == keys[1] == keys[2]
 
 
 class TestFleetValidation:

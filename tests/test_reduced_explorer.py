@@ -22,7 +22,7 @@ from repro.core.nonoriented import NonOrientedNode
 from repro.core.terminating import TerminatingNode
 from repro.core.warmup import WarmupNode
 from repro.exceptions import ProtocolViolation
-from repro.simulator.faults import FaultPlan, apply_fault_plan
+from repro.faults import FaultModel, apply_fault_model
 from repro.simulator.node import Node
 from repro.simulator.ring import build_nonoriented_ring, build_oriented_ring
 from repro.verification import (
@@ -177,8 +177,8 @@ def test_budget_is_enforced_by_reduced_explorer():
 @pytest.mark.parametrize(
     "plan",
     [
-        FaultPlan(drop_rate=0.3, duplicate_rate=0.0, seed=7),
-        FaultPlan(drop_rate=0.2, duplicate_rate=0.2, seed=11),
+        FaultModel(drop_rate=0.3, duplicate_rate=0.0, seed=7),
+        FaultModel(drop_rate=0.2, duplicate_rate=0.2, seed=11),
     ],
 )
 def test_fault_space_exploration_agrees(plan):
@@ -186,7 +186,7 @@ def test_fault_space_exploration_agrees(plan):
         network = build_oriented_ring(
             [WarmupNode(i) for i in (1, 2, 3)]
         ).network
-        apply_fault_plan(network, plan)
+        apply_fault_model(network, plan)
         return network
 
     assert_same_verdicts(factory)

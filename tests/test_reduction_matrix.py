@@ -20,7 +20,7 @@ from repro.core.nonoriented import NonOrientedNode
 from repro.core.terminating import TerminatingNode
 from repro.core.warmup import WarmupNode
 from repro.exceptions import ConfigurationError
-from repro.simulator.faults import FaultPlan, apply_fault_plan
+from repro.faults import FaultModel, apply_fault_model
 from repro.simulator.ring import build_nonoriented_ring, build_oriented_ring
 from repro.verification import (
     REDUCTION_MODES,
@@ -159,11 +159,11 @@ def test_nonoriented_frontier_beyond_unreduced_budget():
 
 
 def test_symmetry_under_faults_is_refused():
-    plan = FaultPlan(drop_rate=0.3, duplicate_rate=0.0, seed=7)
+    plan = FaultModel(drop_rate=0.3, duplicate_rate=0.0, seed=7)
 
     def factory():
         network = build_oriented_ring([WarmupNode(i) for i in (1, 2, 3)]).network
-        apply_fault_plan(network, plan)
+        apply_fault_model(network, plan)
         return network
 
     for reduction in ("symmetry", "full"):
@@ -172,11 +172,11 @@ def test_symmetry_under_faults_is_refused():
 
 
 def test_sleep_under_faults_matches_unreduced():
-    plan = FaultPlan(drop_rate=0.2, duplicate_rate=0.2, seed=11)
+    plan = FaultModel(drop_rate=0.2, duplicate_rate=0.2, seed=11)
 
     def factory():
         network = build_oriented_ring([WarmupNode(i) for i in (1, 2, 3)]).network
-        apply_fault_plan(network, plan)
+        apply_fault_model(network, plan)
         return network
 
     full = explore_all_schedules(factory)

@@ -2,7 +2,7 @@
 
 The checker (:mod:`repro.verification.statistical`) runs the invariant
 battery over fleet-sampled instances.  Correct code must yield pass-rate
-1.0; a :class:`~repro.simulator.fleet.FleetFault` injection (pulse loss —
+1.0; a :class:`~repro.faults.model.PulseDrop` injection (pulse loss —
 outside the model) must be caught, localized by block bisection to the
 exact instance, and reproduced by :meth:`Counterexample.replay`.
 """
@@ -13,7 +13,8 @@ import pytest
 
 from repro.analysis.stats import clopper_pearson_interval
 from repro.exceptions import ConfigurationError
-from repro.simulator.fleet import HAVE_NUMPY, FleetFault
+from repro.faults.model import PulseDrop
+from repro.simulator.fleet import HAVE_NUMPY
 from repro.verification.statistical import (
     Counterexample,
     ids_for_instance,
@@ -86,7 +87,7 @@ def test_multiprocess_run_matches_serial():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_injected_drop_is_caught_localized_and_replayed(backend):
-    fault = FleetFault(round_index=3, node=1, direction="cw", instance=10)
+    fault = PulseDrop(round_index=3, node=1, direction="cw", instance=10)
     report = run_statistical_check(
         n=6, id_max=50, samples=64, block_size=64, backend=backend, fault=fault
     )
@@ -104,7 +105,7 @@ def test_injected_drop_is_caught_localized_and_replayed(backend):
 
 def test_fault_in_untested_instance_is_silent():
     # Instance index beyond the sample range: nothing to catch.
-    fault = FleetFault(round_index=3, node=1, direction="cw", instance=999)
+    fault = PulseDrop(round_index=3, node=1, direction="cw", instance=999)
     report = run_statistical_check(
         n=6, id_max=50, samples=32, block_size=32, fault=fault
     )
@@ -114,7 +115,7 @@ def test_fault_in_untested_instance_is_silent():
 def test_counterexample_budget_is_respected():
     # Fault with instance=None hits EVERY instance; the checker must
     # still terminate quickly, recording at most max_counterexamples.
-    fault = FleetFault(round_index=3, node=0, direction="cw", instance=None)
+    fault = PulseDrop(round_index=3, node=0, direction="cw", instance=None)
     report = run_statistical_check(
         n=6, id_max=50, samples=48, block_size=16, fault=fault,
         max_counterexamples=2,
@@ -127,11 +128,11 @@ def test_counterexample_budget_is_respected():
 
 def test_fleet_fault_validation():
     with pytest.raises(ConfigurationError):
-        FleetFault(round_index=0, node=0)
+        PulseDrop(round_index=0, node=0)
     with pytest.raises(ConfigurationError):
-        FleetFault(round_index=1, node=0, direction="sideways")
+        PulseDrop(round_index=1, node=0, direction="sideways")
     with pytest.raises(ConfigurationError):
-        FleetFault(round_index=1, node=0, count=0)
+        PulseDrop(round_index=1, node=0, count=0)
 
 
 # -- configuration errors ---------------------------------------------------
@@ -151,7 +152,7 @@ def test_configuration_validation():
 # -- report arithmetic ------------------------------------------------------
 
 def test_report_interval_with_failures():
-    fault = FleetFault(round_index=3, node=0, direction="cw", instance=None)
+    fault = PulseDrop(round_index=3, node=0, direction="cw", instance=None)
     report = run_statistical_check(
         n=5, id_max=30, samples=20, block_size=4, fault=fault,
         max_counterexamples=1,
