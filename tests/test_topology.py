@@ -139,6 +139,7 @@ class TestFarmKeyPins:
         "recovery": "c5ff63644d1e37f8fa8a505ed1a4c3e1a18a8dd52dd8c99d2b8a420945fa0061",
         "whp": "7f5ee32c30b091ae2fa243f96edc12ebb2d5048ebfb09709414b1523f69d3123",
         "placements": "676817ad1e9d7dc4fdc2d6ed23a5360ce108d72049d8c9dcf4baaa2cba030bd0",
+        "ear": "2310a7c6fbb2f29e2ba16a90bfd86000dd0ffe6cdc13ed5d192c11e3e70ac600",
     }
 
     def test_recovery_key_unchanged(self):
@@ -168,6 +169,14 @@ class TestFarmKeyPins:
             shard_key("placements", placements_params(n=16, seed=0), 0, 100)
             == self.PINNED["placements"]
         )
+
+    def test_ear_key_unchanged(self):
+        from repro.farm.campaign import ear_params
+        from repro.farm.keys import shard_key
+        from repro.graphs.samples import theta_graph
+
+        params = ear_params(theta_graph(0, 1, 2), id_max=64)
+        assert shard_key("ear", params, 0, 100) == self.PINNED["ear"]
 
     def test_topology_semantics_only_for_topology_params(self):
         """The topology_semantics coordinate enters the key payload only
