@@ -112,10 +112,7 @@ def bench_recovery_self_test(quick: bool) -> Dict:
         max_counterexamples=1,
     )
     seconds = time.perf_counter() - t0
-    classified = (
-        report.recovered + report.wrong_stable + report.stuck
-        == report.samples
-    )
+    classified = sum(report.counts.values()) == report.samples
     replayed = True
     first_invariant = None
     if report.counterexamples:
@@ -125,10 +122,8 @@ def bench_recovery_self_test(quick: bool) -> Dict:
     return {
         "injected": "crash node 1 at round 3 (no restart)",
         **params,
-        "backend": report.backend,
-        "recovered": report.recovered,
-        "wrong_stable": report.wrong_stable,
-        "stuck": report.stuck,
+        "backend": report.check.backend,
+        **report.counts,
         "fault_events": dict(report.fault_events),
         "every_run_classified": classified,
         "counterexample_replayed": replayed,

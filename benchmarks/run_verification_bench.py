@@ -300,8 +300,8 @@ def bench_statistical(quick: bool) -> Dict:
         "workload": "run_statistical_check (per-round invariant battery "
         "+ end-state Theorem 1 contract)",
         **params,
-        "backend": clean.backend,
-        "scheduler": clean.scheduler,
+        "backend": clean.check.backend,
+        "scheduler": clean.check.scheduler,
         "violations": clean.violations,
         "pass_rate": clean.pass_rate,
         "cp_interval_99": [round(clean.rate_low, 6), round(clean.rate_high, 6)],

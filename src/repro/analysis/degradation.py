@@ -232,14 +232,14 @@ def measure_degradation(
             watchdog_rounds=watchdog_rounds,
             processes=processes,
         )
-        resolved_backend = report.backend
+        resolved_backend = report.check.backend
         points.append(
             DegradationPoint(
                 rate=rate,
                 samples=report.samples,
-                recovered=report.recovered,
-                wrong_stable=report.wrong_stable,
-                stuck=report.stuck,
+                recovered=report.counts["recovered"],
+                wrong_stable=report.counts["wrong_stable"],
+                stuck=report.counts["stuck"],
                 low=report.rate_low,
                 high=report.rate_high,
                 fault_events=dict(report.fault_events),

@@ -20,6 +20,7 @@ Every subcommand prints a plain-text report and exits 0 on success,
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from typing import List, Optional, Sequence
 
@@ -315,273 +316,270 @@ def _fault_model_from_args(args: argparse.Namespace):
     return None if model.is_noop else model
 
 
-def _print_recovery_counterexamples(report) -> bool:
-    """Print and replay each counterexample; True when all reproduce."""
-    all_reproduce = True
-    for ce in report.counterexamples:
-        print(f"counterexample       : [{ce.classification}] {ce.message}")
-        if ce.first_invariant is not None:
-            print(f"  first invariant    : {ce.first_invariant}")
-        print(
-            f"  replay             : instance {ce.instance}, ids "
-            f"{list(ce.ids)}"
-            + (f", flips {list(ce.flips)}" if ce.flips is not None else "")
-            + f", seed {ce.seed}, sched-seed {ce.sched_seed}"
+def _reject_ignored_flags(
+    args: argparse.Namespace, mode: str, flags: Sequence[str]
+) -> None:
+    given = [f"--{flag.replace('_', '-')}" for flag in flags if getattr(args, flag)]
+    if given:
+        raise SystemExit(
+            f"verify --statistical {mode} ignores {', '.join(given)}; drop them"
         )
-        reproduced = ce.replay()
-        print(
-            f"  replay reproduces  : "
-            f"{'yes' if reproduced is not None else 'NO'}"
-        )
-        all_reproduce = all_reproduce and reproduced is not None
-    return all_reproduce
 
 
-def _cmd_verify_recovery(args: argparse.Namespace, model) -> int:
-    from repro.exceptions import ConfigurationError
-    from repro.verification.statistical import run_recovery_check
+def _ring_only_flags(args: argparse.Namespace) -> List[str]:
+    """The fault and recovery flags, which only the ring checks read."""
+    return [
+        dest
+        for dest in vars(args)
+        if dest.startswith("inject_") or dest in ("recovery", "watchdog")
+    ]
+
+
+def _row(label: str, value: object) -> str:
+    return f"{label:<21}: {value}"
+
+
+def _rate(report) -> str:
+    """The pass rate with its Clopper-Pearson interval."""
+    return (
+        f"{report.pass_rate:.6f} ({report.confidence * 100:g}% CP interval "
+        f"[{report.rate_low:.6f}, {report.rate_high:.6f}])"
+    )
+
+
+def _sampled_rows(report) -> List[str]:
+    check = report.check
+    return [
+        _row("id max", check.id_max),
+        _row("samples", report.samples),
+        _row("backend / scheduler", f"{check.backend} / {check.scheduler}"),
+        _row("seeds (ids, sched)", f"{check.seed}, {check.sched_seed}"),
+    ]
+
+
+def _replay_command(argv: Sequence[str], samples: int) -> str:
+    """``argv`` rerun with ``--samples samples``: the sampled prefix that
+    ends at one counterexample."""
+    kept: List[str] = []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--samples":
+            next(rest, None)
+        elif not arg.startswith("--samples="):
+            kept.append(arg)
+    return shlex.join(["repro", *kept, "--samples", str(samples)])
+
+
+def _run_check_or_exit(args: argparse.Namespace, check_type, **fields):
+    """Build the check and run it over ``--samples``: bad input exits, a
+    refused topology prints its witness and returns None."""
+    from repro.exceptions import BridgeWitnessError, ConfigurationError
+    from repro.verification.statistical import run_check
 
     try:
-        report = run_recovery_check(
-            algorithm=args.algorithm,
-            n=args.n,
-            id_max=args.id_max,
-            samples=args.samples,
-            seed=args.seed,
-            sched_seed=args.sched_seed,
-            scheduler=args.scheduler,
-            backend=args.backend,
-            block_size=args.block_size,
-            confidence=args.confidence,
-            faults=model,
-            watchdog_rounds=args.watchdog,
+        return run_check(
+            check_type(**fields),
+            args.samples,
+            args.confidence,
+            args.block_size,
             processes=args.processes,
         )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
-
-    print(f"algorithm            : {report.algorithm}")
-    print(f"mode                 : recovery (faulted runs, stable end state)")
-    print(f"ring size n          : {report.n}")
-    print(f"id max               : {report.id_max}")
-    print(f"samples              : {report.samples}")
-    print(f"backend / scheduler  : {report.backend} / {report.scheduler}")
-    print(f"seeds (ids, sched)   : {report.seed}, {report.sched_seed}")
-    print(f"fault model          : {report.faults}")
-    if report.fault_events:
-        applied = {k: v for k, v in report.fault_events.items() if v}
-        print(f"fault events applied : {applied or 'none'}")
-    print(
-        f"classification       : recovered={report.recovered} "
-        f"wrong_stable={report.wrong_stable} stuck={report.stuck}"
-    )
-    print(
-        f"recovery rate        : {report.recovery_rate:.6f} "
-        f"({int(report.confidence * 100)}% CP interval "
-        f"[{report.rate_low:.6f}, {report.rate_high:.6f}])"
-    )
-    all_reproduce = _print_recovery_counterexamples(report)
-    total = report.recovered + report.wrong_stable + report.stuck
-    ok = total == report.samples and all_reproduce
-    print(
-        "CLASSIFIED (every faulted run; counterexamples replayable)"
-        if ok
-        else "FAILED"
-    )
-    return 0 if ok else 1
-
-
-def _cmd_verify_topology_statistical(args: argparse.Namespace) -> int:
-    from repro.exceptions import BridgeWitnessError, ConfigurationError
-    from repro.verification.statistical import run_topology_check
-
-    graph = _parse_topology(args.topology)
-    print(f"mode                 : statistical topology battery (ear election)")
-    print(f"topology             : {args.topology} (n={graph.n}, "
-          f"{len(graph.edges)} edges)")
-    try:
-        report = run_topology_check(
-            graph,
-            id_max=args.id_max,
-            samples=args.samples,
-            seed=args.seed,
-            sched_seed=args.sched_seed,
-            scheduler=args.scheduler,
-            backend=args.backend,
-            block_size=args.block_size,
-            confidence=args.confidence,
-        )
     except BridgeWitnessError as refusal:
-        print(f"REFUSED              : {refusal}")
+        print(_row("REFUSED", refusal))
         if refusal.bridge is not None:
-            print(f"witness              : bridge edge {refusal.bridge}")
-        return 1
+            print(_row("witness", f"bridge edge {refusal.bridge}"))
+        return None
     except ConfigurationError as error:
         raise SystemExit(str(error)) from None
-    print(f"virtual ring         : L={report.walk_length} stride C={report.stride}")
-    print(f"id max               : {report.id_max}")
-    print(f"samples              : {report.samples}")
-    print(f"backend / scheduler  : {report.backend} / {report.scheduler}")
-    print(f"seeds (ids, sched)   : {report.seed}, {report.sched_seed}")
-    print(f"contract violations  : {report.violations}")
-    print(
-        f"pass rate            : {report.pass_rate:.6f} "
-        f"({int(report.confidence * 100)}% CP interval "
-        f"[{report.rate_low:.6f}, {report.rate_high:.6f}])"
-    )
-    for ce in report.counterexamples:
-        print(f"counterexample       : instance {ce.instance}: {ce.message}")
-        reproduced = ce.replay()
-        print(
-            f"  replay reproduces  : "
-            f"{'yes' if reproduced is not None else 'NO'}"
-        )
-    print("PASSED (sampled topology battery)" if report.clean else "FAILED")
-    return 0 if report.clean else 1
 
 
-def _cmd_verify_anonymous(args: argparse.Namespace) -> int:
-    """The Lemma 18 w.h.p. predicate over the anonymous pipeline."""
-    from repro.exceptions import ConfigurationError
-    from repro.verification.statistical import run_anonymous_whp_check
-
-    try:
-        report = run_anonymous_whp_check(
-            n=args.n,
-            c=args.c,
-            trials=args.samples,
-            seed=args.seed,
-            backend=args.backend,
-            confidence=args.confidence,
-            processes=args.processes if args.processes is not None else 1,
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
-    print(f"algorithm            : anonymous (Algorithm 4 -> Algorithm 3)")
-    print(f"mode                 : Lemma 18 w.h.p. predicate")
-    print(f"ring size n          : {report.n}")
-    print(f"sampler exponent c   : {report.c}")
-    print(f"attempts             : {report.trials} (seeds {report.seed}.."
-          f"{report.seed + report.trials - 1})")
-    print(f"backend              : {report.backend}")
-    print(
-        f"success rate         : {report.successes}/{report.trials} = "
-        f"{report.success_rate:.6f} ({int(report.confidence * 100)}% CP "
-        f"interval [{report.rate_low:.6f}, {report.rate_high:.6f}])"
-    )
-    print(f"lemma 18 target      : 1 - n^-c = {report.target:.6f}")
-    print(
-        f"one-sided test       : CP upper bound "
-        f"{report.rate_high:.6f} "
-        f"{'>=' if report.holds else '<'} target (holds: "
-        f"{'yes' if report.holds else 'NO'})"
-    )
+def _print_check_report(report, rows, counterexample_lines, passed: str) -> int:
+    """The one ``verify --statistical`` renderer: the mode's rows, each
+    counterexample with its replay, then the check's verdict."""
+    for row in rows:
+        print(row)
     all_reproduce = True
     for ce in report.counterexamples:
-        print(f"counterexample       : {ce.message}")
-        print(
-            f"  replay             : repro verify --statistical "
-            f"--algorithm anonymous --n {ce.n} --c {ce.c} --samples 1 "
-            f"--seed {ce.attempt_seed} --backend {ce.backend}"
-        )
-        reproduced = ce.replay()
-        print(
-            f"  replay reproduces  : "
-            f"{'yes' if reproduced is not None else 'NO'}"
-        )
-        all_reproduce = all_reproduce and reproduced is not None
+        for line in counterexample_lines(ce):
+            print(line)
+        reproduced = ce.replay() is not None
+        print(_row("  replay reproduces", "yes" if reproduced else "NO"))
+        all_reproduce = all_reproduce and reproduced
     ok = report.holds and all_reproduce
-    print("PASSED (Lemma 18 w.h.p. predicate)" if ok else "FAILED")
+    print(passed if ok else "FAILED")
     return 0 if ok else 1
 
 
-def _cmd_verify_statistical(args: argparse.Namespace) -> int:
+def _verify_ring(args: argparse.Namespace) -> int:
+    """Algorithm 2/3 sampled checks: the invariant battery, or with
+    ``--recovery`` the stable-end-state classification."""
+    from dataclasses import replace
+
     from repro.faults.model import PulseDrop
-    from repro.verification.statistical import run_statistical_check
+    from repro.verification.statistical import RecoveryCheck, RingCheck
 
-    if args.topology is not None:
-        return _cmd_verify_topology_statistical(args)
-    if args.algorithm == "anonymous":
-        return _cmd_verify_anonymous(args)
-    model = _fault_model_from_args(args)
     if args.recovery:
-        return _cmd_verify_recovery(args, model)
-
-    fault = model
+        _reject_ignored_flags(args, "--recovery", ["inject_drop"])
+    fault = _fault_model_from_args(args)
     if args.inject_drop is not None:
         if len(args.inject_drop) != 3:
             raise SystemExit("--inject-drop takes ROUND,NODE,INSTANCE")
         round_index, node, instance = args.inject_drop
-        drop = PulseDrop(
-            round_index=round_index, node=node, direction="cw",
-            instance=instance,
-        )
-        if model is None:
-            fault = drop
-        else:
-            from dataclasses import replace
-
-            fault = replace(model, drops=model.drops + (drop,))
-
-    from repro.exceptions import ConfigurationError
-
-    try:
-        report = run_statistical_check(
-            algorithm=args.algorithm,
-            n=args.n,
-            id_max=args.id_max,
-            samples=args.samples,
-            seed=args.seed,
-            sched_seed=args.sched_seed,
-            scheduler=args.scheduler,
-            backend=args.backend,
-            block_size=args.block_size,
-            confidence=args.confidence,
-            fault=fault,
-            watchdog_rounds=args.watchdog,
-            processes=args.processes,
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
-
-    print(f"algorithm            : {report.algorithm}")
-    print(f"mode                 : statistical (sampled instances)")
-    print(f"ring size n          : {report.n}")
-    print(f"id max               : {report.id_max}")
-    print(f"samples              : {report.samples}")
-    print(f"backend / scheduler  : {report.backend} / {report.scheduler}")
-    print(f"seeds (ids, sched)   : {report.seed}, {report.sched_seed}")
-    if isinstance(fault, PulseDrop):
-        print(
-            f"injected fault       : drop 1 {fault.direction} pulse at "
-            f"round {fault.round_index} toward node {fault.node} in "
-            f"instance {fault.instance}"
-        )
-    elif fault is not None:
-        print(f"injected fault       : {fault}")
-    print(f"invariant violations : {report.violations}")
-    print(
-        f"pass rate            : {report.pass_rate:.6f} "
-        f"({int(report.confidence * 100)}% CP interval "
-        f"[{report.rate_low:.6f}, {report.rate_high:.6f}])"
+        drop = PulseDrop(round_index, node, direction="cw", instance=instance)
+        fault = drop if fault is None else replace(fault, drops=fault.drops + (drop,))
+    report = _run_check_or_exit(
+        args,
+        RecoveryCheck if args.recovery else RingCheck,
+        algorithm=args.algorithm,
+        n=args.n,
+        id_max=args.id_max,
+        seed=args.seed,
+        sched_seed=args.sched_seed,
+        scheduler=args.scheduler,
+        backend=args.backend,
+        fault=fault,
+        watchdog_rounds=args.watchdog,
     )
-    for ce in report.counterexamples:
-        print(f"counterexample       : {ce.message}")
-        print(
-            f"  replay             : repro verify --statistical "
-            f"--algorithm {ce.algorithm} --n {len(ce.ids)} "
-            f"--id-max {report.id_max} --samples 1 --seed {ce.seed} "
-            f"--sched-seed {ce.sched_seed} --scheduler {ce.scheduler} "
-            f"--backend {ce.backend} (instance {ce.instance}: "
-            f"ids {list(ce.ids)})"
+    check = report.check
+    mode = (
+        "recovery (faulted runs, stable end state)"
+        if args.recovery
+        else "statistical (sampled instances)"
+    )
+    rows = [
+        _row("algorithm", check.algorithm),
+        _row("mode", mode),
+        _row("ring size n", check.n),
+        *_sampled_rows(report),
+    ]
+    if args.recovery:
+        rows.append(_row("fault model", check.fault))
+        if report.fault_events:
+            applied = {k: v for k, v in report.fault_events.items() if v}
+            rows.append(_row("fault events applied", applied or "none"))
+        counts = " ".join(f"{name}={n}" for name, n in report.counts.items())
+        rows.append(_row("classification", counts))
+        rows.append(_row("recovery rate", _rate(report)))
+
+        def recovery_lines(ce) -> List[str]:
+            ids, flips = check.sample(ce.instance)
+            flips = f", flips {flips}" if flips is not None else ""
+            lines = [_row("counterexample", f"[{ce.classification}] {ce.message}")]
+            if ce.first_invariant is not None:
+                lines.append(_row("  first invariant", ce.first_invariant))
+            seeds = f"seed {check.seed}, sched-seed {check.sched_seed}"
+            replay = f"instance {ce.instance}, ids {ids}{flips}, {seeds}"
+            return lines + [_row("  replay", replay)]
+
+        return _print_check_report(
+            report,
+            rows,
+            recovery_lines,
+            "CLASSIFIED (every faulted run; counterexamples replayable)",
         )
-        reproduced = ce.replay()
-        print(
-            f"  replay reproduces  : "
-            f"{'yes' if reproduced is not None else 'NO'}"
+    if isinstance(fault, PulseDrop):
+        fault = (
+            f"drop 1 {fault.direction} pulse at round {fault.round_index} "
+            f"toward node {fault.node} in instance {fault.instance}"
         )
-    print("PASSED (sampled schedules)" if report.clean else "FAILED")
-    return 0 if report.clean else 1
+    if fault is not None:
+        rows.append(_row("injected fault", fault))
+    rows.append(_row("invariant violations", report.violations))
+    rows.append(_row("pass rate", _rate(report)))
+    return _print_check_report(
+        report,
+        rows,
+        lambda ce: [
+            _row("counterexample", ce.message),
+            _row("  replay", _replay_command(args.argv, ce.instance + 1)),
+        ],
+        "PASSED (sampled schedules)",
+    )
+
+
+def _verify_topology(args: argparse.Namespace) -> int:
+    """The ear election's sampled contract on one 2-edge-connected graph."""
+    from repro.verification.statistical import TopologyCheck
+
+    _reject_ignored_flags(args, "--topology", _ring_only_flags(args))
+    graph = _parse_topology(args.topology)
+    print(_row("mode", "statistical topology battery (ear election)"))
+    print(_row("topology", f"{args.topology} (n={graph.n}, {len(graph.edges)} edges)"))
+    report = _run_check_or_exit(
+        args,
+        TopologyCheck,
+        graph=graph,
+        id_max=args.id_max,
+        seed=args.seed,
+        sched_seed=args.sched_seed,
+        scheduler=args.scheduler,
+        backend=args.backend,
+    )
+    if report is None:
+        return 1
+    routing = report.check.routing
+    rows = [
+        _row("virtual ring", f"L={routing.length} stride C={routing.stride}"),
+        *_sampled_rows(report),
+        _row("contract violations", report.violations),
+        _row("pass rate", _rate(report)),
+    ]
+    return _print_check_report(
+        report,
+        rows,
+        lambda ce: [_row("counterexample", f"instance {ce.instance}: {ce.message}")],
+        "PASSED (sampled topology battery)",
+    )
+
+
+def _verify_anonymous(args: argparse.Namespace) -> int:
+    """The Lemma 18 w.h.p. predicate over the anonymous pipeline."""
+    from repro.verification.statistical import WhpCheck
+
+    _reject_ignored_flags(args, "--algorithm anonymous", _ring_only_flags(args))
+    report = _run_check_or_exit(
+        args, WhpCheck, n=args.n, c=args.c, seed=args.seed, backend=args.backend
+    )
+    check = report.check
+    last_seed = check.seed + report.samples - 1
+    holds = report.holds
+    rows = [
+        _row("algorithm", "anonymous (Algorithm 4 -> Algorithm 3)"),
+        _row("mode", "Lemma 18 w.h.p. predicate"),
+        _row("ring size n", check.n),
+        _row("sampler exponent c", check.c),
+        _row("attempts", f"{report.samples} (seeds {check.seed}..{last_seed})"),
+        _row("backend", check.backend),
+        _row("success rate", f"{report.passes}/{report.samples} = {_rate(report)}"),
+        _row("lemma 18 target", f"1 - n^-c = {check.target:.6f}"),
+        _row(
+            "one-sided test",
+            f"CP upper bound {report.rate_high:.6f} {'>=' if holds else '<'} "
+            f"target (holds: {'yes' if holds else 'NO'})",
+        ),
+    ]
+    return _print_check_report(
+        report,
+        rows,
+        lambda ce: [
+            _row("counterexample", ce.message),
+            _row(
+                "  replay",
+                f"repro verify --statistical --algorithm anonymous --n {check.n} "
+                f"--c {check.c} --samples 1 --seed {check.sample(ce.instance)} "
+                f"--backend {check.backend}",
+            ),
+        ],
+        "PASSED (Lemma 18 w.h.p. predicate)",
+    )
+
+
+def _cmd_verify_statistical(args: argparse.Namespace) -> int:
+    if args.topology is not None:
+        return _verify_topology(args)
+    if args.algorithm == "anonymous":
+        return _verify_anonymous(args)
+    return _verify_ring(args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -1919,6 +1917,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     if (
         args.command == "elect"
         and args.setting != "anonymous"

@@ -53,7 +53,7 @@ from repro.faults.model import FaultModel
 #: * a counter-based sampling stream (``ids_for_instance``,
 #:   ``flips_for_instance``, the anonymous per-seed pipeline) or fault
 #:   roll stream (:func:`repro.faults.model.roll_u64`);
-#: * the recovery classification rules (`_classify_instance`);
+#: * the recovery classification rules (`RecoveryCheck.classify`);
 #: * a shard payload format in :mod:`repro.farm.workloads`.
 #:
 #: Do NOT bump it for new backends, performance work, or refactors that

@@ -2,7 +2,8 @@
 
 Each workload contributes two pure functions:
 
-* ``run_*_shard(params, start, stop, ...)`` — compute the shard payload
+* a shard runner — :func:`run_check_shard` for the sampled-check
+  workloads, :func:`run_placements_shard` — computes the shard payload
   for global indices ``[start, stop)``.  Payloads are JSON-primitive
   dicts (they go straight into the content-addressed store) and are
   *order-preserving*: per-index outcomes appear in index order, so
@@ -24,7 +25,8 @@ and fleet batch composition is a tested invariant).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.farm.keys import fault_model_from_canonical
@@ -34,57 +36,103 @@ from repro.farm.keys import fault_model_from_canonical
 DEFAULT_JOB_BLOCK_SIZE = 256
 
 
-def run_recovery_shard(
-    params: Mapping[str, Any],
-    start: int,
-    stop: int,
-    backend: str = "auto",
-    block_size: int = DEFAULT_JOB_BLOCK_SIZE,
-) -> Dict[str, Any]:
-    """Recovery classification of global sample indices ``[start, stop)``."""
-    from repro.verification.statistical import run_recovery_shard as run
+def _recovery_check(params: Mapping[str, Any], backend: str) -> Any:
+    from repro.verification.statistical import RecoveryCheck
 
-    counts, non_recovered, events = run(
+    return RecoveryCheck(
         algorithm=params["algorithm"],
         n=params["n"],
         id_max=params["id_max"],
-        indices=list(range(start, stop)),
         seed=params["seed"],
         sched_seed=params["sched_seed"],
         scheduler=params["scheduler"],
         backend=backend,
-        block_size=block_size,
-        faults=fault_model_from_canonical(params["faults"]),
+        fault=fault_model_from_canonical(params["faults"]),
         watchdog_rounds=params["watchdog_rounds"],
     )
-    return {
-        "counts": dict(counts),
-        "non_recovered": [list(triple) for triple in non_recovered],
-        "fault_events": dict(events),
-    }
 
 
-def run_whp_shard(
+def _ear_check(params: Mapping[str, Any], backend: str) -> Any:
+    """``params["topology"]`` is the canonical topology descriptor
+    (:meth:`repro.topology.Topology.canonical_descriptor`)."""
+    from repro.graphs.connectivity import Graph
+    from repro.verification.statistical import TopologyCheck
+
+    topology = params["topology"]
+    return TopologyCheck(
+        graph=Graph.from_edges(topology["n"], [tuple(e) for e in topology["edges"]]),
+        id_max=params["id_max"],
+        seed=params["seed"],
+        sched_seed=params["sched_seed"],
+        scheduler=params["scheduler"],
+        backend=backend,
+    )
+
+
+def _whp_check(params: Mapping[str, Any], backend: str) -> Any:
+    """Attempt ``i`` uses seed ``params["seed"] + i``, the contract of
+    :func:`repro.analysis.whp.measure_anonymous_success`."""
+    from repro.verification.statistical import WhpCheck
+
+    return WhpCheck(
+        n=params["n"], c=params["c"], seed=params["seed"], backend=backend
+    )
+
+
+def _whp_payload(
+    counts: Any, failures: List[Any], events: Any, start: int, stop: int
+) -> Dict[str, Any]:
+    failed = {index for index, _label, _message in failures}
+    return {"succeeded": [int(i not in failed) for i in range(start, stop)]}
+
+
+#: Per sampled-check workload: ``(build the check from params and
+#: backend, lay out the payload from (counts, failures, fault events,
+#: start, stop))``.
+_CHECK_WORKLOADS: Dict[
+    str, Tuple[Callable[..., Any], Callable[..., Dict[str, Any]]]
+] = {
+    "recovery": (
+        _recovery_check,
+        lambda counts, failures, events, start, stop: {
+            "counts": counts,
+            "non_recovered": [list(failure) for failure in failures],
+            "fault_events": events,
+        },
+    ),
+    "ear": (
+        _ear_check,
+        lambda counts, failures, events, start, stop: {
+            "samples": stop - start,
+            "violations": [[index, message] for index, _, message in failures],
+        },
+    ),
+    "whp": (_whp_check, _whp_payload),
+}
+
+
+def run_check_shard(
+    workload: str,
     params: Mapping[str, Any],
     start: int,
     stop: int,
     backend: str = "auto",
     block_size: int = DEFAULT_JOB_BLOCK_SIZE,
 ) -> Dict[str, Any]:
-    """Theorem 3 per-seed success flags for attempts ``[start, stop)``.
+    """The ``recovery``, ``ear`` or ``whp`` payload over indices ``[start, stop)``.
 
-    Attempt ``i`` uses seed ``params["seed"] + i`` — the exact contract
-    of :func:`repro.analysis.whp.measure_anonymous_success`.
+    Each workload names one :class:`~repro.verification.statistical.Check`
+    run through the shared shard seam
+    (:func:`~repro.verification.statistical.check_shard`); only the
+    payload layout differs per workload.
     """
-    from repro.simulator.fleet import run_anonymous_fleet
+    from repro.verification.statistical import check_shard
 
-    result = run_anonymous_fleet(
-        params["n"],
-        list(range(params["seed"] + start, params["seed"] + stop)),
-        c=params["c"],
-        backend=backend,
+    build, to_payload = _CHECK_WORKLOADS[workload]
+    counts, failures, events = check_shard(
+        build(params, backend), range(start, stop), block_size
     )
-    return {"succeeded": [int(flag) for flag in result.succeeded]}
+    return to_payload(counts, failures, events, start, stop)
 
 
 def run_placements_shard(
@@ -112,47 +160,9 @@ def run_placements_shard(
     return {"totals": list(result.total_pulses)}
 
 
-def run_ear_shard(
-    params: Mapping[str, Any],
-    start: int,
-    stop: int,
-    backend: str = "auto",
-    block_size: int = DEFAULT_JOB_BLOCK_SIZE,
-) -> Dict[str, Any]:
-    """Ear-election contract checks over sample indices ``[start, stop)``.
-
-    ``params["topology"]`` is the canonical topology descriptor
-    (:meth:`repro.topology.Topology.canonical_descriptor`) naming the
-    2-edge-connected graph; instance ``i`` draws the same counter-based
-    ID stream as the foreground topology battery, so shards compose
-    bit-identically with it.
-    """
-    from repro.verification.statistical import run_topology_shard
-
-    topology = params["topology"]
-    failures = run_topology_shard(
-        n=topology["n"],
-        edges=[tuple(edge) for edge in topology["edges"]],
-        id_max=params["id_max"],
-        start=start,
-        stop=stop,
-        seed=params["seed"],
-        sched_seed=params["sched_seed"],
-        scheduler=params["scheduler"],
-        backend=backend,
-        block_size=block_size,
-    )
-    return {
-        "samples": stop - start,
-        "violations": [[int(index), str(message)] for index, message in failures],
-    }
-
-
 _RUNNERS = {
-    "recovery": run_recovery_shard,
-    "whp": run_whp_shard,
+    **{workload: partial(run_check_shard, workload) for workload in _CHECK_WORKLOADS},
     "placements": run_placements_shard,
-    "ear": run_ear_shard,
 }
 
 

@@ -37,7 +37,8 @@ from repro.farm.campaign import Campaign, adversary_params, recovery_params
 from repro.farm.keys import canonical_json
 from repro.faults.model import GroupDrop
 from repro.verification.statistical import (
-    AnonymousWhpReport,
+    Report,
+    WhpCheck,
     run_anonymous_whp_check,
 )
 
@@ -371,23 +372,23 @@ class TestLemma18Predicate:
     def test_clean_check_holds_with_replayable_counterexamples(self):
         report = run_anonymous_whp_check(n=6, c=2.0, trials=60, seed=0)
         assert report.holds
-        assert report.target == whp_target(6, 2.0)
-        assert report.rate_high >= report.target
-        assert report.successes + report.failures == 60
+        assert report.check.target == whp_target(6, 2.0)
+        assert report.rate_high >= report.check.target
+        assert report.passes + report.violations == 60
         for ce in report.counterexamples:
             assert ce.replay() is not None  # the seed alone reproduces it
 
     def test_failing_report_rejects(self):
         """The one-sided test rejects exactly when even the CP upper
         bound sits below the Lemma 18 floor."""
-        report = AnonymousWhpReport(
-            n=8, c=2.0, trials=100, successes=80, confidence=0.99,
-            rate_low=0.70, rate_high=0.88, target=whp_target(8, 2.0),
-            seed=0, backend="python",
+        report = Report(
+            check=WhpCheck(n=8, c=2.0, seed=0, backend="python"),
+            samples=100, counts={"succeeded": 80, "failed": 20},
+            confidence=0.99, rate_low=0.70, rate_high=0.88,
         )
-        assert report.target > 0.88
+        assert report.check.target == whp_target(8, 2.0) > 0.88
         assert not report.holds
-        assert report.success_rate == 0.8
+        assert report.pass_rate == 0.8
 
     def test_check_validates_inputs(self):
         with pytest.raises(ConfigurationError):

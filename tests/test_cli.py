@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import shlex
+
 import pytest
 
 from repro.cli import main
@@ -110,6 +112,57 @@ class TestVerify:
             capsys, "verify", "--ids", "2,3", "--algorithm", "warmup"
         )
         assert code == 0
+
+
+class TestVerifyStatistical:
+    """The sampled checks behind ``verify --statistical``."""
+
+    def test_printed_replay_line_reproduces_the_counterexample(self, capsys):
+        code, out = run_cli(
+            capsys, "verify", "--statistical", "--samples", "16", "--n", "8",
+            "--id-max", "100", "--block-size", "8", "--inject-drop", "3,2,7",
+        )
+        assert code == 1
+        message = next(
+            line for line in out.splitlines() if line.startswith("counterexample")
+        )
+        replay = next(
+            line for line in out.splitlines() if line.startswith("  replay  ")
+        ).split(" : ", 1)[1]
+        assert replay.startswith("repro ") and "--samples 8" in replay
+        code, out = run_cli(capsys, *shlex.split(replay)[1:])
+        assert code == 1
+        assert message in out.splitlines()
+
+    def test_confidence_label_keeps_its_digits(self, capsys):
+        code, out = run_cli(
+            capsys, "verify", "--statistical", "--samples", "8", "--n", "4",
+            "--id-max", "16", "--confidence", "0.999",
+        )
+        assert code == 0
+        assert "(99.9% CP interval [" in out
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["--topology", "theta:1,1,1"],
+            ["--algorithm", "anonymous"],
+        ],
+        ids=["topology", "anonymous"],
+    )
+    def test_modes_reject_fault_flags_they_ignore(self, mode):
+        with pytest.raises(SystemExit, match="ignores --inject-drop-rate, --recovery"):
+            main([
+                "verify", "--statistical", *mode, "--samples", "4",
+                "--recovery", "--inject-drop-rate", "0.5",
+            ])
+
+    def test_recovery_rejects_inject_drop(self):
+        with pytest.raises(SystemExit, match="ignores --inject-drop"):
+            main([
+                "verify", "--statistical", "--recovery", "--samples", "4",
+                "--inject-drop", "3,2,1",
+            ])
 
 
 class TestSolitude:

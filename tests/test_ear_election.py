@@ -203,17 +203,17 @@ class TestStatisticalBattery:
         )
         assert report.clean
         assert report.violations == 0
-        assert report.walk_length == 13 and report.stride == 2
+        assert report.check.routing.length == 13
+        assert report.check.routing.stride == 2
 
     def test_shards_compose(self):
         """Any shard partition reproduces the uninterrupted sweep."""
-        from repro.verification.statistical import run_topology_shard
+        from repro.verification.statistical import TopologyCheck, check_shard
 
-        graph = theta_graph(0, 1, 2)
-        edges = sorted(graph.edges)
-        whole = run_topology_shard(graph.n, edges, 64, 0, 20)
-        parts = run_topology_shard(graph.n, edges, 64, 0, 7) + \
-            run_topology_shard(graph.n, edges, 64, 7, 20)
+        check = TopologyCheck(graph=theta_graph(0, 1, 2), id_max=64)
+        _counts, whole, _events = check_shard(check, range(0, 20))
+        parts = check_shard(check, range(0, 7))[1] + \
+            check_shard(check, range(7, 20))[1]
         assert whole == parts == []
 
     def test_refuses_bridges(self):

@@ -13,12 +13,21 @@ import pytest
 
 from repro.analysis.stats import clopper_pearson_interval
 from repro.exceptions import ConfigurationError
-from repro.faults.model import PulseDrop
+from repro.faults.model import FaultModel, PulseDrop
 from repro.simulator.fleet import HAVE_NUMPY
 from repro.verification.statistical import (
     Counterexample,
+    RecoveryCheck,
+    RingCheck,
+    TopologyCheck,
+    WhpCheck,
+    check_shard,
     ids_for_instance,
+    run_check,
+    run_anonymous_whp_check,
+    run_recovery_check,
     run_statistical_check,
+    run_topology_check,
 )
 
 BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
@@ -43,7 +52,7 @@ def test_ids_for_instance_independent_of_sharding():
     report_a = run_statistical_check(n=6, id_max=64, samples=40, block_size=8)
     report_b = run_statistical_check(n=6, id_max=64, samples=40, block_size=40)
     assert report_a.clean and report_b.clean
-    assert direct == ids_for_instance(report_a.seed, 37, 6, 64)
+    assert direct == ids_for_instance(report_a.check.seed, 37, 6, 64)
 
 
 # -- clean runs -------------------------------------------------------------
@@ -97,7 +106,9 @@ def test_injected_drop_is_caught_localized_and_replayed(backend):
     ce = report.counterexamples[0]
     assert ce.instance == 10  # bisection attributed the exact instance
     assert "conservation" in ce.message or "instance 10" in ce.message
-    assert list(ce.ids) == ids_for_instance(report.seed, 10, 6, 50)
+    assert ce.check.sample(ce.instance)[0] == ids_for_instance(
+        report.check.seed, 10, 6, 50
+    )
     replayed = ce.replay()
     assert replayed is not None  # deterministic: always reproduces
     assert "instance 10" in replayed
@@ -147,6 +158,91 @@ def test_configuration_validation():
         run_statistical_check(n=10, id_max=5, samples=1)
     with pytest.raises(ConfigurationError, match="block_size"):
         run_statistical_check(samples=1, block_size=0)
+
+
+def _theta():
+    from repro.graphs.samples import theta_graph
+
+    return theta_graph(0, 1, 2)
+
+
+#: The four sampled checks, each at a tiny size, taking extra kwargs.
+CHECKS = {
+    "statistical": lambda **kw: run_statistical_check(
+        n=4, id_max=16, samples=4, **kw
+    ),
+    "recovery": lambda **kw: run_recovery_check(
+        n=4, id_max=16, samples=4, **kw
+    ),
+    "anonymous-whp": lambda **kw: run_anonymous_whp_check(n=4, trials=4, **kw),
+    "topology": lambda **kw: run_topology_check(
+        _theta(), id_max=16, samples=4, **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_every_check_reports_through_the_one_engine(check):
+    report = CHECKS[check]()
+    assert report.check.name == check
+    assert sum(report.counts.values()) == report.samples == 4
+    assert report.passes == report.counts[report.check.classes[0]]
+    for ce in report.counterexamples:
+        assert isinstance(ce, Counterexample) and ce.check is report.check
+        assert ce.replay() is not None
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5])
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_confidence_is_validated_before_sampling(check, confidence, monkeypatch):
+    import repro.verification.statistical as statistical
+
+    def no_sampling(job):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(statistical, "_run_shard", no_sampling)
+    with pytest.raises(ConfigurationError, match="confidence"):
+        CHECKS[check](confidence=confidence)
+
+
+def test_topology_check_honours_processes():
+    check = TopologyCheck(graph=_theta(), id_max=64)
+    serial = run_check(check, 24, block_size=8, processes=1)
+    forked = run_check(check, 24, block_size=8, processes=2)
+    assert forked == serial
+
+
+def test_fault_events_total_every_run_or_stay_empty():
+    """A check without bisection totals every run's fault events, the
+    same total the shard seam gives; a bisecting check, whose aborted
+    runs report none, leaves them empty rather than undercount."""
+    faults = FaultModel(drop_rate=0.05, seed=2)
+    ring = dict(algorithm="nonoriented", n=5, id_max=40, fault=faults)
+    recovery = run_check(
+        RecoveryCheck(**ring), 32, block_size=8, max_counterexamples=0,
+        processes=2,
+    )
+    _counts, _failures, events = check_shard(
+        RecoveryCheck(**ring), range(32), block_size=32
+    )
+    assert recovery.fault_events == events and events["dropped"] > 0
+    drop = PulseDrop(round_index=3, node=2, direction="cw", instance=5)
+    ring.update(n=8, id_max=100, fault=FaultModel(drops=(drop,)))
+    bisected = run_check(RingCheck(**ring), 32, block_size=8)
+    assert bisected.violations == 1 and bisected.fault_events == {}
+
+
+def test_whp_check_runs_each_shard_as_one_fleet(monkeypatch):
+    sizes = []
+    run = WhpCheck.run
+
+    def recording_run(self, block, offset, observer):
+        sizes.append(len(block))
+        return run(self, block, offset, observer)
+
+    monkeypatch.setattr(WhpCheck, "run", recording_run)
+    report = run_check(WhpCheck(n=4), 10, block_size=3)
+    assert sizes == [10] and report.samples == 10
 
 
 # -- report arithmetic ------------------------------------------------------
