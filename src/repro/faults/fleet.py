@@ -1,8 +1,13 @@
 """Fleet-backend compiler: the fault model over struct-of-arrays rounds.
 
 The fleet engine (:mod:`repro.simulator.fleet`) advances ``B`` instances
-in lockstep rounds over per-direction ``flight[B, n]`` columns.  This
-module lowers a :class:`~repro.faults.model.FaultModel` onto that loop:
+in lockstep rounds over ``flight[B, n]`` columns, one per *lane*.  A
+:class:`Lane` is a travel direction, where its sends land, and the base
+of its channel indices: Algorithm 1 and each half of Algorithm 3 run one
+lane, Algorithm 2 runs ``cw`` at base 0 and ``ccw`` at base ``n`` in one
+round loop (the seeded scheduler's layout).  :func:`compile_fleet_faults`
+lowers a :class:`~repro.faults.model.FaultModel` onto every run of an
+algorithm as one :class:`FleetFaults` adapter over that run's lanes:
 
 * **random channel faults** roll once per *(instance, round, channel)*
   — the fleet's notion of a fault opportunity (event channels roll per
@@ -10,21 +15,24 @@ module lowers a :class:`~repro.faults.model.FaultModel` onto that loop:
   thin the in-flight population pulse-by-pulse (each of the ``f`` pulses
   on a channel rolls independently), duplicates/spurious add at most one
   pulse per channel per round.
-* **deterministic drops** (:class:`~repro.faults.model.PulseDrop`)
-  remove in-flight pulses at the start of a chosen round.
-* **crashes** evaporate all deliveries toward the node while down (its
+* **deterministic drops** (:class:`~repro.faults.model.PulseDrop`, and a
+  group's :class:`~repro.faults.model.GroupDrop`) remove in-flight pulses
+  on their direction's lane at the start of a chosen round; a clause
+  naming a direction the algorithm never runs is rejected.
+* **crashes** (:class:`~repro.faults.model.NodeCrash`, a group's crash)
+  evaporate all deliveries toward the node on every lane while down (its
   state freezes: nothing is delivered, its pending is empty at round
   boundaries, so the kernels never touch it); a restart resets the node
-  via the kernel's fresh-state semantics and re-sends its init pulse.
+  to the kernel's fresh-node values and re-sends its init pulse.
 * **corruption** overwrites one materialized column value at the start
   of its round (fields pre-validated against the kernel ``SCHEMA``).
 
-Every decision is a counter-based roll keyed on the **global** instance
-index (``instance_offset + row``), so a counterexample replayed solo at
-the same global index sees the identical fault pattern.  The NumPy and
-pure-Python applications are written as exact twins (same clause order,
-same roll coordinates) — the fleet differential tests pin this
-bit-for-bit.
+Every clause is written once per twin and loops over the lanes.  Every
+decision is a counter-based roll keyed on the **global** instance index
+(``instance_offset + row``), so a counterexample replayed solo at the
+same global index sees the identical fault pattern.  The NumPy and
+pure-Python applications are exact twins (same clause order, same roll
+coordinates) — the fleet differential tests pin this bit-for-bit.
 
 Lap-skips and faults: fault opportunities are defined per fleet *round*,
 and a lap-skip compresses laps **within** one round, so skipping changes
@@ -38,9 +46,10 @@ threshold-crossing trigger must *visit* the crossing round, which a
 closed-form lap jump would skip straight past.
 """
 
+
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.faults.model import (
@@ -62,7 +71,7 @@ from repro.faults.model import (
     roll_u64,
 )
 
-#: Event-counter keys shared by every fleet fault adapter (same totals on
+#: Event-counter keys of the fleet fault adapter (same totals on
 #: both backends; the differential tests compare the dicts directly).
 EVENT_KEYS = (
     "dropped",
@@ -133,14 +142,16 @@ def _np_under(np_mod: Any, rolls: Any, threshold: int) -> Any:
     return rolls < np_mod.uint64(threshold)
 
 
-def _np_group_sel(
-    np_mod: Any, group: Any, live: Any, instance_offset: int, B: int
+def _np_rows(
+    np_mod: Any, instance: Optional[int], live: Any, instance_offset: int
 ) -> Any:
-    """Row mask a group may touch: live rows, or the one targeted row."""
-    if group.instance is None:
+    """Row mask a clause may touch: every live row, or its one target
+    row (when that instance is live and in this block)."""
+    if instance is None:
         return live
+    B = live.shape[0]
     sel = np_mod.zeros(B, bool)
-    row = group.instance - instance_offset
+    row = instance - instance_offset
     if 0 <= row < B:
         sel[row] = live[row]
     return sel
@@ -150,7 +161,7 @@ def _np_rate_mask(
     np_mod: Any, model: FaultModel, instance_offset: int, B: int, n: int
 ) -> Any:
     """The ``crash_rate`` dead-node mask (bool ``[B, n]``): one roll per
-    (global instance, node) — channel base 0 in every adapter, so both
+    (global instance, node) — channel base 0 in every run, so both
     directional runs agree which nodes are dead."""
     rolls = _np_rolls(
         np_mod, model.seed, KIND_CRASH, 0, 0, instance_offset, B, 0, n
@@ -287,52 +298,172 @@ def _apply_random_py(
                 events["injected"] += 1
 
 
-class DirectionFaults:
-    """A :class:`FaultModel` compiled onto one directional warmup-kernel
-    fleet run (Algorithm 1, or one half of Algorithm 3).
+class Lane(NamedTuple):
+    """One flight array of a fleet run."""
 
-    The direction run materializes exactly two counter columns — its
-    ``rho`` and ``sigma`` — so corruption clauses naming the *other*
-    direction's fields are silently owned by the twin adapter (the
-    caller compiles one adapter per direction).
+    #: ``"cw"`` / ``"ccw"``: the drop clauses this lane takes.
+    direction: str
+    #: +1 when sends from node ``v`` fly toward ``v + 1``, -1 for CCW.
+    shift: int
+    #: Channel index of node 0's channel in the fault rolls.
+    chan_base: int
+
+
+class _Columns(NamedTuple):
+    """Where one fleet run keeps a node's state, for both twins."""
+
+    #: Corruptible schema field -> (NumPy column, kernel-state attribute).
+    fields: Dict[str, Tuple[str, str]]
+    #: NumPy column -> the value a restarted node takes.
+    fresh: Dict[str, Any]
+
+
+def _direction_columns(direction: str) -> _Columns:
+    """A warmup-kernel run (Algorithm 1, one half of Algorithm 3): its
+    ``rho``/``sigma`` columns hold the ``direction`` counters, which the
+    kernel state keeps in its CW slots whichever way the run travels."""
+    return _Columns(
+        fields={
+            f"rho_{direction}": ("rho", "rho_cw"),
+            f"sigma_{direction}": ("sigma", "sigma_cw"),
+        },
+        fresh={"rho": 0, "sigma": 1},  # kernel.init: one pulse sent
+    )
+
+
+#: Algorithm 2's run: the ``TerminatingColumns`` names, and their values
+#: for one node of ``TerminatingColumns.fresh``.
+_TERMINATING = _Columns(
+    fields={
+        "rho_cw": ("rho_cw", "rho_cw"),
+        "sigma_cw": ("sigma_cw", "sigma_cw"),
+        "rho_ccw": ("rho_ccw", "rho_ccw"),
+        "sigma_ccw": ("sigma_ccw", "sigma_ccw"),
+        "pending_cw": ("pend_cw", "pending_cw"),
+        "pending_ccw": ("pend_ccw", "pending_ccw"),
+    },
+    fresh={
+        "rho_cw": 0,
+        "rho_ccw": 0,
+        "pend_cw": 0,
+        "pend_ccw": 0,
+        "sigma_cw": 1,
+        "sigma_ccw": 0,
+        "term_sent": False,
+        "terminated": False,
+        "out_leader": False,
+    },
+)
+
+
+def compile_fleet_faults(
+    model: FaultModel, n: int, algorithm: str
+) -> Tuple["FleetFaults", ...]:
+    """Compile ``model`` onto every fleet run of ``algorithm``.
+
+    Returns one adapter per run: Algorithm 1 (``"warmup"``) runs one CW
+    lane, Algorithm 2 (``"terminating"``) one run over both lanes, and
+    Algorithm 3 (``"nonoriented"``) one run per direction.  Every clause
+    is validated here, once: corruption fields against the kernel
+    schema, nodes against the ring, drop directions against the lanes
+    the algorithm runs.
+    """
+    cw, ccw = Lane("cw", +1, 0), Lane("ccw", -1, n)
+    runs = {
+        "warmup": ((cw,),),
+        "terminating": ((cw, ccw),),
+        "nonoriented": ((cw,), (ccw,)),
+    }.get(algorithm)
+    if runs is None:
+        raise ConfigurationError(f"no fleet fault lowering for {algorithm!r}")
+    allowed = corruptible_fields(algorithm)
+    for corruption in model.corruptions:
+        if corruption.field not in allowed:
+            raise ConfigurationError(
+                f"cannot corrupt field {corruption.field!r} of algorithm "
+                f"{algorithm!r}; schema-validated targets: {list(allowed)}"
+            )
+        _check_node(corruption.node, n, "corruption")
+    for crash in model.crashes:
+        _check_node(crash.node, n, "crash")
+    directions = {lane.direction for lanes in runs for lane in lanes}
+    for drop in model.drops:
+        _check_node(drop.node, n, "pulse-drop")
+        _check_direction(drop.direction, directions, algorithm, "pulse-drop")
+    for group in model.groups:
+        _check_node(group.anchor, n, "group anchor")
+        for member in group.drops:
+            _check_direction(
+                member.direction, directions, algorithm, "group drop"
+            )
+    return tuple(
+        FleetFaults(
+            model,
+            n,
+            lanes,
+            _TERMINATING
+            if algorithm == "terminating"
+            else _direction_columns(lanes[0].direction),
+        )
+        for lanes in runs
+    )
+
+
+def _check_direction(
+    direction: str, directions: Set[str], algorithm: str, what: str
+) -> None:
+    if direction not in directions:
+        raise ConfigurationError(
+            f"{what} targets the {direction} direction, which algorithm "
+            f"{algorithm!r} never runs"
+        )
+
+
+class FleetFaults:
+    """A :class:`FaultModel` compiled onto one fleet run over ``lanes``.
+
+    Clauses aimed at a direction outside ``lanes`` (and corruption of
+    fields outside ``columns``) belong to the algorithm's other run —
+    Algorithm 3 compiles one adapter per direction.  Group threshold
+    triggers read the first lane's counters.
     """
 
     def __init__(
         self,
         model: FaultModel,
         n: int,
-        direction: str,
-        shift: int,
-        chan_base: int,
-        algorithm: str,
+        lanes: Tuple[Lane, ...],
+        columns: _Columns,
     ) -> None:
         self.model = model
         self.n = n
-        self.direction = direction
-        self.shift = shift
-        self.chan_base = chan_base
-        allowed = corruptible_fields(algorithm)
-        for corruption in model.corruptions:
-            if corruption.field not in allowed:
-                raise ConfigurationError(
-                    f"cannot corrupt field {corruption.field!r} of algorithm "
-                    f"{algorithm!r}; schema-validated targets: {list(allowed)}"
-                )
-            _check_node(corruption.node, n, "corruption")
-        for crash in model.crashes:
-            _check_node(crash.node, n, "crash")
-        for drop in model.drops:
-            _check_node(drop.node, n, "pulse-drop")
-        self.drops = tuple(d for d in model.drops if d.direction == direction)
-        rho_field = "rho_cw" if direction == "cw" else "rho_ccw"
-        sigma_field = "sigma_cw" if direction == "cw" else "sigma_ccw"
-        self._owned = {rho_field: "rho", sigma_field: "sigma"}
-        self.corruptions = tuple(
-            c for c in model.corruptions if c.field in self._owned
+        self.lanes = lanes
+        self.columns = columns
+        lane_of = {lane.direction: i for i, lane in enumerate(lanes)}
+        #: (lane index, clause) for the drops and group drops this run takes.
+        self.drops = tuple(
+            (lane_of[d.direction], d) for d in model.drops
+            if d.direction in lane_of
         )
         self.groups = model.groups
-        for group in model.groups:
-            _check_node(group.anchor, n, "group anchor")
+        self.group_drops = tuple(
+            tuple(
+                (lane_of[d.direction], d) for d in group.drops
+                if d.direction in lane_of
+            )
+            for group in model.groups
+        )
+        #: Per group: the (NumPy column, state attribute) its threshold
+        #: trigger reads, None for an ``at_round`` trigger.
+        self.triggers = tuple(
+            None
+            if group.at_round is not None
+            else columns.fields[f"{group.trigger_field}_{lanes[0].direction}"]
+            for group in model.groups
+        )
+        self.corruptions = tuple(
+            c for c in model.corruptions if c.field in columns.fields
+        )
         #: Per-group fire rounds: lazily-allocated int64 ``[B]`` (0 =
         #: unfired) on the NumPy path, {global instance: fire} dicts on
         #: the scalar path.  Fire rounds are pure functions of each
@@ -348,316 +479,231 @@ class DirectionFaults:
         self.allow_skips = not (model.crashes or model.groups or model.crash_rate)
         self.events = _fresh_events()
 
-    # -- correlated-group lowering (np side) -----------------------------
+    # -- NumPy twin -------------------------------------------------------
 
     def _np_groups_begin(
         self,
         np_mod: Any,
         round_index: int,
-        rho: Any,
-        sigma: Any,
+        cols: Dict[str, Any],
         live: Any,
         instance_offset: int,
-        B: int,
-    ) -> Any:
-        """Advance per-row trigger state; returns the burst-window row
-        mask (bool ``[B]``) when the model carries group bursts, else
-        None.  Trigger fields are read *before* any clause mutates the
-        columns this round (same position in the scalar twin)."""
-        if not self.groups:
-            return None
+    ) -> Tuple[List[Any], Any]:
+        """Advance per-row trigger state; returns each group's fired-row
+        mask and the burst-window row mask (bool ``[B]``, or None when
+        the model carries no group burst).  Trigger columns are read
+        *before* any clause mutates them this round (same position in
+        the scalar twin)."""
         if self._group_fire_np is None:
             self._group_fire_np = [
-                np_mod.zeros(B, np_mod.int64) for _ in self.groups
+                np_mod.zeros(live.shape[0], np_mod.int64) for _ in self.groups
             ]
-        window = np_mod.zeros(B, bool) if self.model.has_group_bursts else None
-        for group, fire in zip(self.groups, self._group_fire_np):
-            sel = _np_group_sel(np_mod, group, live, instance_offset, B)
+        window = (
+            np_mod.zeros(live.shape[0], bool)
+            if self.model.has_group_bursts
+            else None
+        )
+        fired_rows = []
+        for group, fire, trigger in zip(
+            self.groups, self._group_fire_np, self.triggers
+        ):
+            sel = _np_rows(np_mod, group.instance, live, instance_offset)
             unfired = fire == 0
-            if group.at_round is not None:
+            if trigger is None:
                 newly = sel & unfired if round_index == group.at_round else None
             else:
-                vals = (rho if group.trigger_field == "rho" else sigma)[
-                    :, group.anchor
-                ]
+                vals = cols[trigger[0]][:, group.anchor]
                 newly = sel & unfired & (vals >= group.trigger_threshold)
             if newly is not None and newly.any():
                 fire[newly] = round_index
-            if window is not None and group.burst is not None:
-                fired = sel & (fire > 0)
-                if fired.any():
-                    rel = round_index - fire + 1
-                    cov = rel >= group.burst.start
-                    if group.burst.length is not None:
-                        cov &= rel < group.burst.start + group.burst.length
-                    window |= fired & cov
-        return window
-
-    def _np_group_drops(
-        self,
-        np_mod: Any,
-        round_index: int,
-        flight: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-        n: int,
-    ) -> None:
-        for group, fire in zip(self.groups, self._group_fire_np or ()):
-            sel = _np_group_sel(np_mod, group, live, instance_offset, B)
             fired = sel & (fire > 0)
-            if not fired.any():
-                continue
-            for drop in group.drops:
-                if drop.direction != self.direction:
-                    continue
-                rows = fired & (fire + drop.offset == round_index)
-                if not rows.any():
-                    continue
-                node = (group.anchor + drop.node_offset) % n
-                removed = np_mod.where(
-                    rows, np_mod.minimum(flight[:, node], drop.count), 0
-                )
-                flight[:, node] -= removed
-                self.events["det_dropped"] += int(removed.sum())
+            fired_rows.append(fired)
+            if window is not None and group.burst is not None and fired.any():
+                rel = round_index - fire + 1
+                cov = rel >= group.burst.start
+                if group.burst.length is not None:
+                    cov &= rel < group.burst.start + group.burst.length
+                window |= fired & cov
+        return fired_rows, window
 
-    def _np_group_crashes(
+    def _np_remove(
+        self, np_mod: Any, flight: Any, node: int, count: int, rows: Any
+    ) -> None:
+        """A drop clause: up to ``count`` pulses toward ``node`` vanish
+        in ``rows``."""
+        removed = np_mod.where(rows, np_mod.minimum(flight[:, node], count), 0)
+        flight[:, node] -= removed
+        self.events["det_dropped"] += int(removed.sum())
+
+    def _np_crash(
         self,
         np_mod: Any,
-        round_index: int,
-        rho: Any,
-        sigma: Any,
-        flight: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-        n: int,
+        node: int,
+        down: Any,
+        restart: Any,
+        cols: Dict[str, Any],
+        flights: Tuple[Any, ...],
         extra: Any,
     ) -> Any:
-        for group, fire in zip(self.groups, self._group_fire_np or ()):
-            if not group.crash:
-                continue
-            sel = _np_group_sel(np_mod, group, live, instance_offset, B)
-            fired = sel & (fire > 0)
-            if not fired.any():
-                continue
-            if group.restart_after is None:
-                down = fired
-                restart = None
-            else:
-                down = fired & (round_index < fire + group.restart_after)
-                restart = fired & (round_index == fire + group.restart_after)
-            if down.any():
-                lost = np_mod.where(down, flight[:, group.anchor], 0)
-                self.events["crash_lost"] += int(lost.sum())
-                flight[down, group.anchor] = 0
-            if restart is not None and restart.any():
-                rho[restart, group.anchor] = 0
-                sigma[restart, group.anchor] = 1
-                flight[restart, (group.anchor + self.shift) % n] += 1
-                self.events["restarts"] += int(restart.sum())
-                if extra is None:
-                    extra = np_mod.zeros(B, np_mod.int64)
-                extra[restart] += 1
+        """A crash clause: in ``down`` rows every pulse toward ``node``
+        evaporates; in ``restart`` rows the node takes the fresh-node
+        values and re-sends its init pulse on the first lane.  Returns
+        ``extra`` with the re-sent pulses added (allocated on first
+        use)."""
+        if down is not None and down.any():
+            for flight in flights:
+                self.events["crash_lost"] += int(flight[down, node].sum())
+                flight[down, node] = 0
+        if restart is not None and restart.any():
+            for name, value in self.columns.fresh.items():
+                cols[name][restart, node] = value
+            flights[0][restart, (node + self.lanes[0].shift) % self.n] += 1
+            self.events["restarts"] += int(restart.sum())
+            if extra is None:
+                extra = np_mod.zeros(restart.shape[0], np_mod.int64)
+            extra[restart] += 1
         return extra
-
-    def _np_crash_rate(
-        self,
-        np_mod: Any,
-        flight: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-        n: int,
-    ) -> None:
-        if not self.model.crash_rate:
-            return
-        if self._rate_mask_np is None:
-            self._rate_mask_np = _np_rate_mask(
-                np_mod, self.model, instance_offset, B, n
-            )
-        dead = self._rate_mask_np & live[:, None]
-        lost = np_mod.where(dead, flight, 0)
-        self.events["crash_lost"] += int(lost.sum())
-        flight[dead] = 0
-
-    # -- correlated-group lowering (scalar twin) -------------------------
-
-    def _py_groups_begin(
-        self, round_index: int, instance: int, states: List[Any]
-    ) -> Any:
-        """Scalar twin of :meth:`_np_groups_begin` for one instance."""
-        if not self.groups:
-            return None
-        window = False if self.model.has_group_bursts else None
-        for i, group in enumerate(self.groups):
-            if group.instance is not None and group.instance != instance:
-                continue
-            fire = self._group_fire_py[i].get(instance, 0)
-            if fire == 0:
-                if group.at_round is not None:
-                    if round_index == group.at_round:
-                        fire = round_index
-                else:
-                    attr = (
-                        "rho_cw" if group.trigger_field == "rho" else "sigma_cw"
-                    )
-                    if getattr(states[group.anchor], attr) >= group.trigger_threshold:
-                        fire = round_index
-                if fire:
-                    self._group_fire_py[i][instance] = fire
-            if window is not None and fire and group.burst_active(round_index, fire):
-                window = True
-        return window
-
-    def _py_group_drops(
-        self, round_index: int, instance: int, flight: List[int]
-    ) -> None:
-        n = self.n
-        for i, group in enumerate(self.groups):
-            if group.instance is not None and group.instance != instance:
-                continue
-            fire = self._group_fire_py[i].get(instance, 0)
-            if not fire:
-                continue
-            for drop in group.drops:
-                if drop.direction != self.direction:
-                    continue
-                if fire + drop.offset != round_index:
-                    continue
-                node = (group.anchor + drop.node_offset) % n
-                removed = min(flight[node], drop.count)
-                flight[node] -= removed
-                self.events["det_dropped"] += removed
-
-    def _py_group_crashes(
-        self,
-        round_index: int,
-        instance: int,
-        gov: List[int],
-        states: List[Any],
-        flight: List[int],
-        kernel: Any,
-    ) -> int:
-        n = self.n
-        extra = 0
-        for i, group in enumerate(self.groups):
-            if not group.crash:
-                continue
-            if group.instance is not None and group.instance != instance:
-                continue
-            fire = self._group_fire_py[i].get(instance, 0)
-            if not fire:
-                continue
-            if group.down(round_index, fire):
-                self.events["crash_lost"] += flight[group.anchor]
-                flight[group.anchor] = 0
-            elif group.restarts_at(round_index, fire):
-                states[group.anchor] = kernel.make_state(gov[group.anchor])
-                _, emissions, _ = kernel.init(states[group.anchor])
-                for _port, cnt in emissions:
-                    flight[(group.anchor + self.shift) % n] += cnt
-                    extra += cnt
-                self.events["restarts"] += 1
-        return extra
-
-    def _py_crash_rate(self, instance: int, flight: List[int]) -> None:
-        if not self.model.crash_rate:
-            return
-        mask = self._rate_mask_py.get(instance)
-        if mask is None:
-            mask = _py_rate_mask(self.model, instance, self.n)
-            self._rate_mask_py[instance] = mask
-        for v in range(self.n):
-            if mask[v]:
-                self.events["crash_lost"] += flight[v]
-                flight[v] = 0
 
     def apply_np(
         self,
         np_mod: Any,
         round_index: int,
-        rho: Any,
-        sigma: Any,
-        flight: Any,
+        cols: Dict[str, Any],
+        flights: Tuple[Any, ...],
         instance_offset: int,
         live: Any,
     ) -> Any:
         """Mutate the columns for one round start; returns extra sends
         (0, or an int64 ``[B]`` array when a restart re-init sent pulses).
 
-        ``live`` is a bool ``[B]`` mask of rows that have not yet
-        quiesced; quiesced rows are frozen (the pure-Python twin's
-        per-instance loop has already exited for them)."""
-        B, n = flight.shape
+        ``cols`` maps the run's column names to its ``[B, n]`` arrays,
+        ``flights`` holds one ``[B, n]`` flight per lane.  ``live`` is a
+        bool ``[B]`` mask of rows that have not yet quiesced; quiesced
+        rows are frozen (the pure-Python twin's per-instance loop has
+        already exited for them)."""
+        fired_rows: List[Any] = []
+        window = None
+        if self.groups:
+            fired_rows, window = self._np_groups_begin(
+                np_mod, round_index, cols, live, instance_offset
+            )
+        for lane, drop in self.drops:
+            if drop.round_index == round_index:
+                rows = _np_rows(np_mod, drop.instance, live, instance_offset)
+                self._np_remove(np_mod, flights[lane], drop.node, drop.count, rows)
+        for group, members, fired, fire in zip(
+            self.groups, self.group_drops, fired_rows, self._group_fire_np or ()
+        ):
+            for lane, drop in members:
+                rows = fired & (fire + drop.offset == round_index)
+                if rows.any():
+                    node = (group.anchor + drop.node_offset) % self.n
+                    self._np_remove(np_mod, flights[lane], node, drop.count, rows)
         extra = None
-        window = self._np_groups_begin(
-            np_mod, round_index, rho, sigma, live, instance_offset, B
-        )
-        for drop in self.drops:
-            if drop.round_index != round_index:
-                continue
-            if drop.instance is None:
-                removed = np_mod.where(
-                    live, np_mod.minimum(flight[:, drop.node], drop.count), 0
-                )
-                flight[:, drop.node] -= removed
-                self.events["det_dropped"] += int(removed.sum())
-            else:
-                row = drop.instance - instance_offset
-                if 0 <= row < B and live[row]:
-                    removed = min(int(flight[row, drop.node]), drop.count)
-                    flight[row, drop.node] -= removed
-                    self.events["det_dropped"] += removed
-        self._np_group_drops(
-            np_mod, round_index, flight, live, instance_offset, B, n
-        )
         for crash in self.model.crashes:
-            if crash.instance is None:
-                rows: Any = live
-                count = int(np_mod.sum(live))
-            else:
-                row = crash.instance - instance_offset
-                if not (0 <= row < B and live[row]):
-                    continue
-                rows = row
-                count = 1
-            if count == 0:
+            down, restart = crash.down(round_index), crash.restarts_at(round_index)
+            if down or restart:
+                rows = _np_rows(np_mod, crash.instance, live, instance_offset)
+                extra = self._np_crash(
+                    np_mod, crash.node, rows if down else None,
+                    rows if restart else None, cols, flights, extra,
+                )
+        if self.model.crash_rate:
+            if self._rate_mask_np is None:
+                self._rate_mask_np = _np_rate_mask(
+                    np_mod, self.model, instance_offset, *flights[0].shape
+                )
+            dead = self._rate_mask_np & live[:, None]
+            for flight in flights:
+                self.events["crash_lost"] += int(flight[dead].sum())
+                flight[dead] = 0
+        for group, fired, fire in zip(
+            self.groups, fired_rows, self._group_fire_np or ()
+        ):
+            if not group.crash or not fired.any():
                 continue
-            if crash.down(round_index):
-                lost = flight[rows, crash.node]
-                self.events["crash_lost"] += int(np_mod.sum(lost))
-                flight[rows, crash.node] = 0
-            elif crash.restarts_at(round_index):
-                rho[rows, crash.node] = 0
-                sigma[rows, crash.node] = 1
-                flight[rows, (crash.node + self.shift) % n] += 1
-                self.events["restarts"] += count
-                if extra is None:
-                    extra = np_mod.zeros(B, np_mod.int64)
-                extra[rows] += 1
-        self._np_crash_rate(np_mod, flight, live, instance_offset, B, n)
-        extra = self._np_group_crashes(
-            np_mod, round_index, rho, sigma, flight, live, instance_offset,
-            B, n, extra,
-        )
-        _apply_random_np(
-            np_mod, self.model, self.events, round_index, flight,
-            instance_offset, self.chan_base, live, window,
-        )
+            if group.restart_after is None:
+                down, restart = fired, None
+            else:
+                down = fired & (round_index < fire + group.restart_after)
+                restart = fired & (round_index == fire + group.restart_after)
+            extra = self._np_crash(
+                np_mod, group.anchor, down, restart, cols, flights, extra
+            )
+        for lane, flight in zip(self.lanes, flights):
+            _apply_random_np(
+                np_mod, self.model, self.events, round_index, flight,
+                instance_offset, lane.chan_base, live, window,
+            )
         for corruption in self.corruptions:
-            if corruption.at_round != round_index:
-                continue
-            target = rho if self._owned[corruption.field] == "rho" else sigma
-            if corruption.instance is None:
-                target[live, corruption.node] = corruption.value
-                self.events["corruptions"] += int(np_mod.sum(live))
-            else:
-                row = corruption.instance - instance_offset
-                if 0 <= row < B and live[row]:
-                    target[row, corruption.node] = corruption.value
-                    self.events["corruptions"] += 1
+            if corruption.at_round == round_index:
+                rows = _np_rows(np_mod, corruption.instance, live, instance_offset)
+                column = self.columns.fields[corruption.field][0]
+                cols[column][rows, corruption.node] = corruption.value
+                self.events["corruptions"] += int(rows.sum())
         return 0 if extra is None else extra
+
+    # -- pure-Python twin -------------------------------------------------
+
+    def _py_groups_begin(
+        self, round_index: int, instance: int, states: List[Any]
+    ) -> Tuple[List[int], Any]:
+        """Scalar twin of :meth:`_np_groups_begin` for one instance:
+        each group's fire round (0 while unfired or aimed at another
+        instance) and the burst gate (bool, or None)."""
+        fires = []
+        window = False if self.model.has_group_bursts else None
+        for group, fired, trigger in zip(
+            self.groups, self._group_fire_py, self.triggers
+        ):
+            if group.instance is not None and group.instance != instance:
+                fires.append(0)
+                continue
+            fire = fired.get(instance, 0)
+            if fire == 0:
+                if trigger is None:
+                    hit = round_index == group.at_round
+                else:
+                    value = getattr(states[group.anchor], trigger[1])
+                    hit = value >= group.trigger_threshold
+                if hit:
+                    fire = fired[instance] = round_index
+            fires.append(fire)
+            if window is not None and fire and group.burst_active(round_index, fire):
+                window = True
+        return fires, window
+
+    def _py_remove(self, flight: List[int], node: int, count: int) -> None:
+        removed = min(flight[node], count)
+        flight[node] -= removed
+        self.events["det_dropped"] += removed
+
+    def _py_crash(
+        self,
+        node: int,
+        down: bool,
+        restart: bool,
+        gov: List[int],
+        states: List[Any],
+        flights: Tuple[List[int], ...],
+        kernel: Any,
+    ) -> int:
+        """Scalar twin of :meth:`_np_crash`; the fresh-node values are
+        the kernel's ``make_state`` + ``init``.  Returns the re-sent
+        pulse count."""
+        extra = 0
+        if down:
+            for flight in flights:
+                self.events["crash_lost"] += flight[node]
+                flight[node] = 0
+        elif restart:
+            states[node] = kernel.make_state(gov[node])
+            _, emissions, _ = kernel.init(states[node])
+            for _port, cnt in emissions:
+                flights[0][(node + self.lanes[0].shift) % self.n] += cnt
+                extra += cnt
+            self.events["restarts"] += 1
+        return extra
 
     def apply_py(
         self,
@@ -665,529 +711,57 @@ class DirectionFaults:
         instance: int,
         gov: List[int],
         states: List[Any],
-        flight: List[int],
+        flights: Tuple[List[int], ...],
         kernel: Any,
     ) -> int:
         """Scalar twin of :meth:`apply_np` for global ``instance``;
         returns the number of extra pulses sent (restart re-inits)."""
-        n = self.n
+        fires: List[int] = []
+        window = None
+        if self.groups:
+            fires, window = self._py_groups_begin(round_index, instance, states)
+        for lane, drop in self.drops:
+            if drop.round_index == round_index and drop.instance in (None, instance):
+                self._py_remove(flights[lane], drop.node, drop.count)
+        for group, members, fire in zip(self.groups, self.group_drops, fires):
+            for lane, drop in members:
+                if fire and fire + drop.offset == round_index:
+                    node = (group.anchor + drop.node_offset) % self.n
+                    self._py_remove(flights[lane], node, drop.count)
         extra = 0
-        window = self._py_groups_begin(round_index, instance, states)
-        for drop in self.drops:
-            if drop.round_index != round_index:
-                continue
-            if drop.instance is None or drop.instance == instance:
-                removed = min(flight[drop.node], drop.count)
-                flight[drop.node] -= removed
-                self.events["det_dropped"] += removed
-        self._py_group_drops(round_index, instance, flight)
         for crash in self.model.crashes:
-            if crash.instance is not None and crash.instance != instance:
-                continue
-            if crash.down(round_index):
-                self.events["crash_lost"] += flight[crash.node]
-                flight[crash.node] = 0
-            elif crash.restarts_at(round_index):
-                states[crash.node] = kernel.make_state(gov[crash.node])
-                _, emissions, _ = kernel.init(states[crash.node])
-                for _port, cnt in emissions:
-                    flight[(crash.node + self.shift) % n] += cnt
-                    extra += cnt
-                self.events["restarts"] += 1
-        self._py_crash_rate(instance, flight)
-        extra += self._py_group_crashes(
-            round_index, instance, gov, states, flight, kernel
-        )
-        _apply_random_py(
-            self.model, self.events, round_index, flight, instance,
-            self.chan_base, window,
-        )
-        for corruption in self.corruptions:
-            if corruption.at_round != round_index:
-                continue
-            if corruption.instance is None or corruption.instance == instance:
-                attr = (
-                    "rho_cw"
-                    if self._owned[corruption.field] == "rho"
-                    else "sigma_cw"
+            if crash.instance in (None, instance):
+                extra += self._py_crash(
+                    crash.node, crash.down(round_index),
+                    crash.restarts_at(round_index), gov, states, flights, kernel,
                 )
-                setattr(states[corruption.node], attr, corruption.value)
-                self.events["corruptions"] += 1
-        return extra
-
-
-#: Terminating-kernel column spellings for corruptible schema fields.
-_TERMINATING_COLS = {
-    "rho_cw": "rho_cw",
-    "sigma_cw": "sigma_cw",
-    "rho_ccw": "rho_ccw",
-    "sigma_ccw": "sigma_ccw",
-    "pending_cw": "pend_cw",
-    "pending_ccw": "pend_ccw",
-}
-
-
-class TerminatingFaults:
-    """A :class:`FaultModel` compiled onto the terminating fleet run
-    (Algorithm 2: both directions in one round loop, CW channels at
-    indices ``[0, n)`` and CCW at ``[n, 2n)`` — the seeded scheduler's
-    layout)."""
-
-    def __init__(self, model: FaultModel, n: int) -> None:
-        self.model = model
-        self.n = n
-        allowed = corruptible_fields("terminating")
-        for corruption in model.corruptions:
-            if corruption.field not in allowed:
-                raise ConfigurationError(
-                    f"cannot corrupt field {corruption.field!r} of algorithm "
-                    f"'terminating'; schema-validated targets: {list(allowed)}"
+        if self.model.crash_rate:
+            mask = self._rate_mask_py.get(instance)
+            if mask is None:
+                mask = _py_rate_mask(self.model, instance, self.n)
+                self._rate_mask_py[instance] = mask
+            for flight in flights:
+                for v in range(self.n):
+                    if mask[v]:
+                        self.events["crash_lost"] += flight[v]
+                        flight[v] = 0
+        for group, fire in zip(self.groups, fires):
+            if fire:
+                extra += self._py_crash(
+                    group.anchor, group.down(round_index, fire),
+                    group.restarts_at(round_index, fire), gov, states,
+                    flights, kernel,
                 )
-            _check_node(corruption.node, n, "corruption")
-        for crash in model.crashes:
-            _check_node(crash.node, n, "crash")
-        for drop in model.drops:
-            _check_node(drop.node, n, "pulse-drop")
-        self.cw_drops = tuple(d for d in model.drops if d.direction == "cw")
-        self.ccw_drops = tuple(d for d in model.drops if d.direction == "ccw")
-        self.groups = model.groups
-        for group in model.groups:
-            _check_node(group.anchor, n, "group anchor")
-        self._group_fire_np: Optional[List[Any]] = None
-        self._group_fire_py: List[Dict[int, int]] = [{} for _ in model.groups]
-        self._rate_mask_np: Any = None
-        self._rate_mask_py: Dict[int, List[bool]] = {}
-        self.allow_skips = not (model.crashes or model.groups or model.crash_rate)
-        self.events = _fresh_events()
-
-    # -- correlated-group lowering (np side; trigger fields read from the
-    # terminating run's primary-direction columns rho_cw/sigma_cw) ------
-
-    def _np_groups_begin(
-        self,
-        np_mod: Any,
-        round_index: int,
-        cols: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-    ) -> Any:
-        if not self.groups:
-            return None
-        if self._group_fire_np is None:
-            self._group_fire_np = [
-                np_mod.zeros(B, np_mod.int64) for _ in self.groups
-            ]
-        window = np_mod.zeros(B, bool) if self.model.has_group_bursts else None
-        for group, fire in zip(self.groups, self._group_fire_np):
-            sel = _np_group_sel(np_mod, group, live, instance_offset, B)
-            unfired = fire == 0
-            if group.at_round is not None:
-                newly = sel & unfired if round_index == group.at_round else None
-            else:
-                source = (
-                    cols.rho_cw if group.trigger_field == "rho" else cols.sigma_cw
-                )
-                vals = source[:, group.anchor]
-                newly = sel & unfired & (vals >= group.trigger_threshold)
-            if newly is not None and newly.any():
-                fire[newly] = round_index
-            if window is not None and group.burst is not None:
-                fired = sel & (fire > 0)
-                if fired.any():
-                    rel = round_index - fire + 1
-                    cov = rel >= group.burst.start
-                    if group.burst.length is not None:
-                        cov &= rel < group.burst.start + group.burst.length
-                    window |= fired & cov
-        return window
-
-    def _np_group_drops(
-        self,
-        np_mod: Any,
-        round_index: int,
-        cw_flight: Any,
-        ccw_flight: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-        n: int,
-    ) -> None:
-        for group, fire in zip(self.groups, self._group_fire_np or ()):
-            sel = _np_group_sel(np_mod, group, live, instance_offset, B)
-            fired = sel & (fire > 0)
-            if not fired.any():
-                continue
-            for drop in group.drops:
-                rows = fired & (fire + drop.offset == round_index)
-                if not rows.any():
-                    continue
-                flight = cw_flight if drop.direction == "cw" else ccw_flight
-                node = (group.anchor + drop.node_offset) % n
-                removed = np_mod.where(
-                    rows, np_mod.minimum(flight[:, node], drop.count), 0
-                )
-                flight[:, node] -= removed
-                self.events["det_dropped"] += int(removed.sum())
-
-    def _np_group_crashes(
-        self,
-        np_mod: Any,
-        round_index: int,
-        cols: Any,
-        cw_flight: Any,
-        ccw_flight: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-        n: int,
-        extra: Any,
-    ) -> Any:
-        for group, fire in zip(self.groups, self._group_fire_np or ()):
-            if not group.crash:
-                continue
-            sel = _np_group_sel(np_mod, group, live, instance_offset, B)
-            fired = sel & (fire > 0)
-            if not fired.any():
-                continue
-            if group.restart_after is None:
-                down = fired
-                restart = None
-            else:
-                down = fired & (round_index < fire + group.restart_after)
-                restart = fired & (round_index == fire + group.restart_after)
-            if down.any():
-                lost = np_mod.where(
-                    down,
-                    cw_flight[:, group.anchor] + ccw_flight[:, group.anchor],
-                    0,
-                )
-                self.events["crash_lost"] += int(lost.sum())
-                cw_flight[down, group.anchor] = 0
-                ccw_flight[down, group.anchor] = 0
-            if restart is not None and restart.any():
-                cols.rho_cw[restart, group.anchor] = 0
-                cols.rho_ccw[restart, group.anchor] = 0
-                cols.pend_cw[restart, group.anchor] = 0
-                cols.pend_ccw[restart, group.anchor] = 0
-                cols.sigma_cw[restart, group.anchor] = 1
-                cols.sigma_ccw[restart, group.anchor] = 0
-                cols.term_sent[restart, group.anchor] = False
-                cols.terminated[restart, group.anchor] = False
-                cols.out_leader[restart, group.anchor] = False
-                cw_flight[restart, (group.anchor + 1) % n] += 1
-                self.events["restarts"] += int(restart.sum())
-                if extra is None:
-                    extra = np_mod.zeros(B, np_mod.int64)
-                extra[restart] += 1
-        return extra
-
-    def _np_crash_rate(
-        self,
-        np_mod: Any,
-        cw_flight: Any,
-        ccw_flight: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-        n: int,
-    ) -> None:
-        if not self.model.crash_rate:
-            return
-        if self._rate_mask_np is None:
-            self._rate_mask_np = _np_rate_mask(
-                np_mod, self.model, instance_offset, B, n
+        for lane, flight in zip(self.lanes, flights):
+            _apply_random_py(
+                self.model, self.events, round_index, flight, instance,
+                lane.chan_base, window,
             )
-        dead = self._rate_mask_np & live[:, None]
-        lost = np_mod.where(dead, cw_flight + ccw_flight, 0)
-        self.events["crash_lost"] += int(lost.sum())
-        cw_flight[dead] = 0
-        ccw_flight[dead] = 0
-
-    # -- correlated-group lowering (scalar twin) -------------------------
-
-    def _py_groups_begin(
-        self, round_index: int, instance: int, states: List[Any]
-    ) -> Any:
-        if not self.groups:
-            return None
-        window = False if self.model.has_group_bursts else None
-        for i, group in enumerate(self.groups):
-            if group.instance is not None and group.instance != instance:
-                continue
-            fire = self._group_fire_py[i].get(instance, 0)
-            if fire == 0:
-                if group.at_round is not None:
-                    if round_index == group.at_round:
-                        fire = round_index
-                else:
-                    attr = (
-                        "rho_cw" if group.trigger_field == "rho" else "sigma_cw"
-                    )
-                    if getattr(states[group.anchor], attr) >= group.trigger_threshold:
-                        fire = round_index
-                if fire:
-                    self._group_fire_py[i][instance] = fire
-            if window is not None and fire and group.burst_active(round_index, fire):
-                window = True
-        return window
-
-    def _py_group_drops(
-        self,
-        round_index: int,
-        instance: int,
-        cw_flight: List[int],
-        ccw_flight: List[int],
-    ) -> None:
-        n = self.n
-        for i, group in enumerate(self.groups):
-            if group.instance is not None and group.instance != instance:
-                continue
-            fire = self._group_fire_py[i].get(instance, 0)
-            if not fire:
-                continue
-            for drop in group.drops:
-                if fire + drop.offset != round_index:
-                    continue
-                flight = cw_flight if drop.direction == "cw" else ccw_flight
-                node = (group.anchor + drop.node_offset) % n
-                removed = min(flight[node], drop.count)
-                flight[node] -= removed
-                self.events["det_dropped"] += removed
-
-    def _py_group_crashes(
-        self,
-        round_index: int,
-        instance: int,
-        ids: List[int],
-        states: List[Any],
-        out_leader: List[bool],
-        cw_flight: List[int],
-        ccw_flight: List[int],
-        kernel: Any,
-    ) -> int:
-        n = self.n
-        extra = 0
-        for i, group in enumerate(self.groups):
-            if not group.crash:
-                continue
-            if group.instance is not None and group.instance != instance:
-                continue
-            fire = self._group_fire_py[i].get(instance, 0)
-            if not fire:
-                continue
-            if group.down(round_index, fire):
-                self.events["crash_lost"] += (
-                    cw_flight[group.anchor] + ccw_flight[group.anchor]
-                )
-                cw_flight[group.anchor] = 0
-                ccw_flight[group.anchor] = 0
-            elif group.restarts_at(round_index, fire):
-                states[group.anchor] = kernel.make_state(ids[group.anchor])
-                _, emissions, _ = kernel.init(states[group.anchor])
-                for _port, cnt in emissions:
-                    cw_flight[(group.anchor + 1) % n] += cnt
-                    extra += cnt
-                out_leader[group.anchor] = False
-                self.events["restarts"] += 1
-        return extra
-
-    def _py_crash_rate(
-        self, instance: int, cw_flight: List[int], ccw_flight: List[int]
-    ) -> None:
-        if not self.model.crash_rate:
-            return
-        mask = self._rate_mask_py.get(instance)
-        if mask is None:
-            mask = _py_rate_mask(self.model, instance, self.n)
-            self._rate_mask_py[instance] = mask
-        for v in range(self.n):
-            if mask[v]:
-                self.events["crash_lost"] += cw_flight[v] + ccw_flight[v]
-                cw_flight[v] = 0
-                ccw_flight[v] = 0
-
-    def _det_drops_np(
-        self,
-        np_mod: Any,
-        drops: Tuple[Any, ...],
-        round_index: int,
-        flight: Any,
-        instance_offset: int,
-        live: Any,
-    ) -> None:
-        B = flight.shape[0]
-        for drop in drops:
-            if drop.round_index != round_index:
-                continue
-            if drop.instance is None:
-                removed = np_mod.where(
-                    live, np_mod.minimum(flight[:, drop.node], drop.count), 0
-                )
-                flight[:, drop.node] -= removed
-                self.events["det_dropped"] += int(removed.sum())
-            else:
-                row = drop.instance - instance_offset
-                if 0 <= row < B and live[row]:
-                    removed = min(int(flight[row, drop.node]), drop.count)
-                    flight[row, drop.node] -= removed
-                    self.events["det_dropped"] += removed
-
-    def apply_np(
-        self,
-        np_mod: Any,
-        round_index: int,
-        cols: Any,
-        cw_flight: Any,
-        ccw_flight: Any,
-        instance_offset: int,
-        live: Any,
-    ) -> Any:
-        """Mutate columns/flights for one round start; returns extra sends
-        (0, or int64 ``[B]`` when restart re-inits sent pulses).
-
-        ``live`` freezes already-quiesced rows, matching the pure-Python
-        per-instance loop exit (see :meth:`DirectionFaults.apply_np`)."""
-        B, n = cw_flight.shape
-        extra = None
-        window = self._np_groups_begin(
-            np_mod, round_index, cols, live, instance_offset, B
-        )
-        self._det_drops_np(
-            np_mod, self.cw_drops, round_index, cw_flight, instance_offset, live
-        )
-        self._det_drops_np(
-            np_mod, self.ccw_drops, round_index, ccw_flight, instance_offset, live
-        )
-        self._np_group_drops(
-            np_mod, round_index, cw_flight, ccw_flight, live, instance_offset,
-            B, n,
-        )
-        for crash in self.model.crashes:
-            if crash.instance is None:
-                rows: Any = live
-                count = int(np_mod.sum(live))
-            else:
-                row = crash.instance - instance_offset
-                if not (0 <= row < B and live[row]):
-                    continue
-                rows = row
-                count = 1
-            if count == 0:
-                continue
-            if crash.down(round_index):
-                lost = cw_flight[rows, crash.node] + ccw_flight[rows, crash.node]
-                self.events["crash_lost"] += int(np_mod.sum(lost))
-                cw_flight[rows, crash.node] = 0
-                ccw_flight[rows, crash.node] = 0
-            elif crash.restarts_at(round_index):
-                # Fresh-state reset (TerminatingColumns.fresh semantics for
-                # one node) + the kernel init pulse on the CW channel.
-                cols.rho_cw[rows, crash.node] = 0
-                cols.rho_ccw[rows, crash.node] = 0
-                cols.pend_cw[rows, crash.node] = 0
-                cols.pend_ccw[rows, crash.node] = 0
-                cols.sigma_cw[rows, crash.node] = 1
-                cols.sigma_ccw[rows, crash.node] = 0
-                cols.term_sent[rows, crash.node] = False
-                cols.terminated[rows, crash.node] = False
-                cols.out_leader[rows, crash.node] = False
-                cw_flight[rows, (crash.node + 1) % n] += 1
-                self.events["restarts"] += count
-                if extra is None:
-                    extra = np_mod.zeros(B, np_mod.int64)
-                extra[rows] += 1
-        self._np_crash_rate(
-            np_mod, cw_flight, ccw_flight, live, instance_offset, B, n
-        )
-        extra = self._np_group_crashes(
-            np_mod, round_index, cols, cw_flight, ccw_flight, live,
-            instance_offset, B, n, extra,
-        )
-        _apply_random_np(
-            np_mod, self.model, self.events, round_index, cw_flight,
-            instance_offset, 0, live, window,
-        )
-        _apply_random_np(
-            np_mod, self.model, self.events, round_index, ccw_flight,
-            instance_offset, n, live, window,
-        )
-        for corruption in self.model.corruptions:
-            if corruption.at_round != round_index:
-                continue
-            target = getattr(cols, _TERMINATING_COLS[corruption.field])
-            if corruption.instance is None:
-                target[live, corruption.node] = corruption.value
-                self.events["corruptions"] += int(np_mod.sum(live))
-            else:
-                row = corruption.instance - instance_offset
-                if 0 <= row < B and live[row]:
-                    target[row, corruption.node] = corruption.value
-                    self.events["corruptions"] += 1
-        return 0 if extra is None else extra
-
-    def apply_py(
-        self,
-        round_index: int,
-        instance: int,
-        ids: List[int],
-        states: List[Any],
-        out_leader: List[bool],
-        cw_flight: List[int],
-        ccw_flight: List[int],
-        kernel: Any,
-    ) -> int:
-        """Scalar twin of :meth:`apply_np` for global ``instance``."""
-        n = self.n
-        extra = 0
-        window = self._py_groups_begin(round_index, instance, states)
-        for drops, flight in ((self.cw_drops, cw_flight), (self.ccw_drops, ccw_flight)):
-            for drop in drops:
-                if drop.round_index != round_index:
-                    continue
-                if drop.instance is None or drop.instance == instance:
-                    removed = min(flight[drop.node], drop.count)
-                    flight[drop.node] -= removed
-                    self.events["det_dropped"] += removed
-        self._py_group_drops(round_index, instance, cw_flight, ccw_flight)
-        for crash in self.model.crashes:
-            if crash.instance is not None and crash.instance != instance:
-                continue
-            if crash.down(round_index):
-                self.events["crash_lost"] += (
-                    cw_flight[crash.node] + ccw_flight[crash.node]
-                )
-                cw_flight[crash.node] = 0
-                ccw_flight[crash.node] = 0
-            elif crash.restarts_at(round_index):
-                states[crash.node] = kernel.make_state(ids[crash.node])
-                _, emissions, _ = kernel.init(states[crash.node])
-                for _port, cnt in emissions:
-                    # The terminating kernel's init emits on the CW send
-                    # port only; route accordingly.
-                    cw_flight[(crash.node + 1) % n] += cnt
-                    extra += cnt
-                out_leader[crash.node] = False
-                self.events["restarts"] += 1
-        self._py_crash_rate(instance, cw_flight, ccw_flight)
-        extra += self._py_group_crashes(
-            round_index, instance, ids, states, out_leader, cw_flight,
-            ccw_flight, kernel,
-        )
-        _apply_random_py(
-            self.model, self.events, round_index, cw_flight, instance, 0,
-            window,
-        )
-        _apply_random_py(
-            self.model, self.events, round_index, ccw_flight, instance, n,
-            window,
-        )
-        for corruption in self.model.corruptions:
-            if corruption.at_round != round_index:
-                continue
-            if corruption.instance is None or corruption.instance == instance:
-                setattr(
-                    states[corruption.node], corruption.field, corruption.value
-                )
+        for corruption in self.corruptions:
+            if corruption.at_round == round_index and corruption.instance in (
+                None, instance,
+            ):
+                attr = self.columns.fields[corruption.field][1]
+                setattr(states[corruption.node], attr, corruption.value)
                 self.events["corruptions"] += 1
         return extra

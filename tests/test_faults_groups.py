@@ -107,17 +107,15 @@ class TestGroupValidation:
 
     def test_groups_disable_lap_skips(self):
         """Threshold triggers must observe every round, so the fleet
-        direction adapter runs skip-free whenever groups are present."""
-        from repro.faults.fleet import DirectionFaults
+        fault adapter runs skip-free whenever groups are present."""
+        from repro.faults.fleet import compile_fleet_faults
 
         grouped = FaultModel(
             groups=(FaultGroup(anchor=0, at_round=1, crash=True),)
         )
-        adapter = DirectionFaults(grouped, 4, "cw", 1, 0, "warmup")
+        (adapter,) = compile_fleet_faults(grouped, 4, "warmup")
         assert not adapter.allow_skips
-        clean = DirectionFaults(
-            FaultModel(drop_rate=0.1), 4, "cw", 1, 0, "warmup"
-        )
+        (clean,) = compile_fleet_faults(FaultModel(drop_rate=0.1), 4, "warmup")
         assert clean.allow_skips
 
 
