@@ -264,7 +264,7 @@ class RingCheck(Check):
             return run_nonoriented_fleet(
                 id_lists, flip_lists=flip_lists, faults=self.fault, **knobs
             )
-        return run_terminating_fleet(id_lists, fault=self.fault, **knobs)
+        return run_terminating_fleet(id_lists, faults=self.fault, **knobs)
 
     def battery(self) -> Sequence[Callable[[Any], None]]:
         return column_invariants_for(self.algorithm)

@@ -59,12 +59,11 @@ FLIPS = [[True, False, False, True], [False, True, True, False],
 
 
 def _run(algorithm, pool, model=None, **kwargs):
-    """One fleet run of ``algorithm``; ``model`` goes to whichever
-    keyword that runner spells its fault argument with."""
+    """One fleet run of ``algorithm`` under fault model ``model``."""
     if algorithm == "warmup":
         return run_warmup_fleet(pool, faults=model, **kwargs)
     if algorithm == "terminating":
-        return run_terminating_fleet(pool, fault=model, **kwargs)
+        return run_terminating_fleet(pool, faults=model, **kwargs)
     flips = FLIPS if pool is POOL else None
     return run_nonoriented_fleet(pool, flip_lists=flips, faults=model,
                                  **kwargs)
