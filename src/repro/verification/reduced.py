@@ -34,8 +34,8 @@ reductions the content-oblivious model admits, selectable via the
    (Godefroid): the visited store remembers, per state, the sleep set it
    was last explored with; re-reaching a state with a sleep set that is
    not a superset re-explores it with the intersection.  Sleep sets
-   mostly cut *transitions* — each executed transition is a deep copy,
-   so they cut exactly the dominant cost.
+   mostly cut *transitions* — each executed transition copies and
+   repacks its receiver, so they cut exactly the dominant cost.
 
 4. **Symmetry** (``symmetry``/``full``).  Visited-set keys are
    canonicalized under the ring's automorphism group
@@ -165,10 +165,34 @@ class _Static:
         self.fault_profile = build_fault_profile(network)
 
 
-class _RState:
-    """One explored global state in counting representation."""
+def _pack_node(node: Any) -> bytes:
+    """One node's packed key component: a pure function of its state."""
+    return pack_frozen(freeze_value(node_state_dict(node)))
 
-    __slots__ = ("nodes", "queues", "fault_idx", "total_sent")
+
+class _RState:
+    """One explored global state in counting representation.
+
+    Successors are copy-on-write.  :meth:`clone` copies the node *list*
+    and shares the node objects with the parent; :func:`_deliver` then
+    replaces the receiver with a deep copy before it runs, because the
+    receiver is the only node a delivery can mutate (its sends touch the
+    sender — the receiver — and the queues; ``terminate`` touches the
+    receiver).  A node object is therefore never written once a second
+    state can see it.  The root owns every node: the factory network's
+    own objects, mutated only by ``on_init``.  This relies on nodes
+    keeping their mutable state to themselves; two nodes sharing one
+    mutable object would each get a private copy on their first
+    delivery.
+
+    ``node_packed`` holds the per-node packed key components
+    (:func:`_pack_node`), packed in full at the root and otherwise
+    inherited from the parent, with only the receiver's repacked after
+    its delivery.  Each component depends on its node alone, so every
+    key is byte-identical to packing the whole state afresh.
+    """
+
+    __slots__ = ("nodes", "queues", "fault_idx", "total_sent", "node_packed")
 
     def __init__(self, network: Network, static: _Static) -> None:
         self.nodes = network.nodes
@@ -179,15 +203,17 @@ class _RState:
             [0] * static.n_channels if static.fault_profile is not None else None
         )
         self.total_sent = 0
+        self.node_packed: List[bytes] = []  # packed on first use, after on_init
 
     def clone(self) -> "_RState":
         new = _RState.__new__(_RState)
-        new.nodes = copy.deepcopy(self.nodes)
+        new.nodes = list(self.nodes)
         new.queues = [
             queue if isinstance(queue, int) else list(queue) for queue in self.queues
         ]
         new.fault_idx = None if self.fault_idx is None else list(self.fault_idx)
         new.total_sent = self.total_sent
+        new.node_packed = list(self.node_packed)
         return new
 
     def qlen(self, channel_id: int) -> int:
@@ -210,9 +236,8 @@ class _RState:
         material for both the plain visited key and the symmetry-canonical
         key (which permutes the components before joining).
         """
-        node_packed = [
-            pack_frozen(freeze_value(node_state_dict(node))) for node in self.nodes
-        ]
+        if not self.node_packed:
+            self.node_packed = [_pack_node(node) for node in self.nodes]
         queue_packed = [
             pack_frozen(
                 queue
@@ -221,7 +246,7 @@ class _RState:
             )
             for queue in self.queues
         ]
-        return node_packed, queue_packed
+        return self.node_packed, queue_packed
 
 
 class _ReducedAPI(NodeAPI):
@@ -277,11 +302,15 @@ def _deliver(static: _Static, state: _RState, channel_id: int) -> bool:
     receiver = state.nodes[receiver_index]
     if receiver.terminated:
         return True
+    # Copy-on-write: the receiver is shared with the parent until now.
+    receiver = copy.deepcopy(receiver)
+    state.nodes[receiver_index] = receiver
     receiver.on_message(
         _ReducedAPI(static, state, receiver_index),
         static.dst_port[channel_id],
         content,
     )
+    state.node_packed[receiver_index] = _pack_node(receiver)
     return False
 
 
@@ -515,9 +544,11 @@ def explore_reduced(
     Args:
         network_factory: Builds a *fresh* network (fresh node objects).
         invariant: Optional callback receiving the node list at every
-            visited state; raise ``AssertionError`` to abort.  Evaluated
-            at representatives only (it may be instance-specific, e.g.
-            name concrete IDs), never spot-checked under the group.
+            visited state; raise ``AssertionError`` to abort.  It must
+            only read: the node objects are shared between states.
+            Evaluated at representatives only (it may be instance-
+            specific, e.g. name concrete IDs), never spot-checked under
+            the group.
         max_states: Budget on distinct visited states before raising
             :class:`~repro.verification.explorer.ExplorationLimitExceeded`.
         invariant_hooks: Engine-style hooks (e.g.
@@ -533,8 +564,9 @@ def explore_reduced(
         include_duals: Add orientation-duals (reflections) to the
             symmetry group.  Sound for the non-oriented setting; leave
             False for chirality-asymmetric oriented algorithms.
-        spill_dir: Directory for the disk-spilled visited set (a private
-            temp dir by default).
+        spill_dir: Directory in which a disk-spilled visited set gets
+            its own private temp dir, removed on return (the system temp
+            dir by default).
         spill_threshold: Estimated visited-set bytes above which the
             store spills to disk; None (default) never spills.
 

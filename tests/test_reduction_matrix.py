@@ -214,6 +214,36 @@ def test_disk_spilled_visited_set_preserves_verdicts(tmp_path, reduction):
     assert spilled.visited_bytes >= in_memory.visited_bytes
 
 
+@pytest.mark.parametrize("reduction", ["ample", "full"])
+def test_shared_spill_dir_keeps_runs_apart(tmp_path, reduction):
+    """Two spilling runs in one ``spill_dir`` never see each other's keys.
+
+    The first run spills part-way (its early keys reach the database);
+    the second spills at once.  Each must equal the in-memory
+    certificate, and neither may leave a file behind.
+    """
+    factory = oriented_factory(TerminatingNode, [2, 3, 1])
+    in_memory = explore_reduced(factory, reduction=reduction)
+    for threshold in (40 * 130, 1):
+        spilled = explore_reduced(
+            factory,
+            reduction=reduction,
+            spill_dir=str(tmp_path),
+            spill_threshold=threshold,
+        )
+        assert spilled.spilled
+        for name in (
+            "states_explored",
+            "transitions",
+            "terminal_node_fingerprints",
+            "terminal_outputs",
+            "terminal_total_sent",
+            "canonical_terminal_fingerprints",
+        ):
+            assert getattr(spilled, name) == getattr(in_memory, name), name
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- orbit spot-checks --------------------------------------------------------
 
 
