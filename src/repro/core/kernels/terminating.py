@@ -41,6 +41,7 @@ from repro.core.common import (
     LeaderState,
 )
 from repro.core.schema import CONFIG, Field, StateSchema, TRANSIENT
+from repro.core.kernels import warmup
 from repro.core.kernels.base import Emission, StepOutcome
 from repro.exceptions import ProtocolViolation
 
@@ -196,21 +197,19 @@ def pulse_bound(ids: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Lap-skip fast-forward margins (the fleet's lockstep scheduler).
 #
-# CW phase (CCW pulses stalled): uniform laps need every node to stay on
-# the relay branch, i.e. below-threshold nodes must not reach their ID —
-# the warmup margin.  CCW phase (CW instance quiesced, every gate open):
-# additionally no node may cross rho_ccw -> ID (absorption/trigger) nor
-# rho_ccw -> rho_cw + 1 (exit), so the margin also caps at
-# rho_cw - rho_ccw.  Skips are only legal while no termination pulse is
-# out and no node has terminated (the fleet enforces this).
+# CW phase (CCW pulses stalled): the CW half of Algorithm 2 *is*
+# Algorithm 1, so its margin and lap arithmetic are the warmup kernel's,
+# bound here under the CW names.  CCW phase (CW instance quiesced, every
+# gate open): additionally no node may cross rho_ccw -> ID
+# (absorption/trigger) nor rho_ccw -> rho_cw + 1 (exit), so the margin
+# also caps at rho_cw - rho_ccw.  Skips are only legal while no
+# termination pulse is out and no node has terminated (the fleet
+# enforces this).
 # ---------------------------------------------------------------------------
 
-
-def cw_skip_margin(node_id: int, rho_cw: int) -> Optional[int]:
-    """Absorb-free headroom of the CW instance (None past threshold)."""
-    if rho_cw < node_id:
-        return node_id - rho_cw - 1
-    return None
+cw_skip_margin = warmup.skip_margin
+apply_cw_laps = warmup.apply_laps
+cw_skip_margins_np = warmup.skip_margins_np
 
 
 def ccw_skip_margin(node_id: int, rho_cw: int, rho_ccw: int) -> int:
@@ -218,15 +217,6 @@ def ccw_skip_margin(node_id: int, rho_cw: int, rho_ccw: int) -> int:
     if rho_ccw < node_id:
         return min(node_id - rho_ccw - 1, rho_cw - rho_ccw)
     return rho_cw - rho_ccw
-
-
-def apply_cw_laps(state: Any, pulses: int) -> None:
-    """Fast-forward ``pulses`` relayed CW pulses through one node."""
-    if pulses <= 0:
-        return
-    state.rho_cw += pulses
-    state.sigma_cw += pulses
-    state.state = LeaderState.NON_LEADER
 
 
 def apply_ccw_laps(state: Any, pulses: int) -> None:
@@ -342,12 +332,6 @@ def drain_block_np(np: Any, cols: TerminatingColumns) -> None:
         cols.out_leader |= exits & (cols.rho_cw == ids)
         if not progressed.any():
             return
-
-
-def cw_skip_margins_np(np: Any, ids: Any, rho_cw: Any) -> Any:
-    """Vectorized :func:`cw_skip_margin`."""
-    int_max = np.iinfo(np.int64).max
-    return np.where(rho_cw < ids, ids - rho_cw - 1, int_max)
 
 
 def ccw_skip_margins_np(np: Any, ids: Any, rho_cw: Any, rho_ccw: Any) -> Any:
