@@ -186,6 +186,16 @@ class TestFleetPath:
         assert py.port_rho == np_.port_rho
         assert py.port_sigma == np_.port_sigma
 
+    def test_fleet_validates_id_lists(self):
+        """No instance, a short ID list, or a repeated ID is refused."""
+        from repro.simulator.fleet import run_ear_fleet
+
+        graph = theta_graph()
+        ids = _ids_for(graph.n)
+        for bad in ([], [ids[:-1]], [ids[:-1] + ids[:1]]):
+            with pytest.raises(ConfigurationError):
+                run_ear_fleet(graph, bad)
+
     def test_fleet_refuses_bridges(self):
         from repro.simulator.fleet import run_ear_fleet
 
