@@ -152,6 +152,8 @@ def measure_oblivious_over_placements(
     are computed (always on the fleet path) and cached, and the stats
     are aggregated from the store — identical to every direct path.
     """
+    if trials < 1:
+        raise ConfigurationError(f"need at least one trial, got {trials}")
     if farm_root is not None:
         from repro.farm.campaign import Campaign, placements_params
         from repro.farm.service import Farm

@@ -56,6 +56,11 @@ class TestObliviousConstancy:
         assert stats.spread == 0
         assert stats.mean == 10 * (2 * 10 + 1)
 
+    @pytest.mark.parametrize("fleet", [True, False])
+    def test_no_trials_rejected(self, fleet):
+        with pytest.raises(ConfigurationError, match="need at least one trial, got 0"):
+            measure_oblivious_over_placements(4, trials=0, fleet=fleet)
+
     def test_expected_formula_helpers(self):
         assert chang_roberts_expected_candidate_messages(1) == 1.0
         assert chang_roberts_expected_total(2) == pytest.approx(2 * 1.5 + 2)
