@@ -14,7 +14,8 @@ Two classic derivative-free strategies over the discrete grid of
 Both minimize the same objective: the **Clopper–Pearson upper bound**
 of the recovery rate under the candidate plan, measured by the exact
 farm-cacheable shard seam
-(:func:`repro.verification.statistical.run_recovery_shard`).  Using the
+(:func:`repro.verification.statistical.check_shard` of a
+:class:`~repro.verification.statistical.RecoveryCheck`).  Using the
 upper bound rather than the point estimate makes the objective
 pessimistic about the *adversary's* evidence — a plan only ranks as
 worse-for-the-protocol when the data actually supports it — and makes
@@ -34,7 +35,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.adversary.plans import AdversaryPlan, PlanSpace
-from repro.analysis.stats import clopper_pearson_interval
 from repro.exceptions import ConfigurationError
 from repro.farm.keys import canonical_json
 
@@ -151,80 +151,45 @@ def evaluate_plan(
 ) -> PlanEvaluation:
     """Measure one plan's recovery statistics (the search objective).
 
-    Direct path: one :func:`run_recovery_shard` call over
-    ``range(samples)``.  With ``farm_root`` the evaluation routes
-    through the sweep farm as an ``adversary`` campaign — whose jobs
+    The plan runs as an ``adversary`` campaign through
+    :func:`repro.farm.run_campaign`: one shard over ``range(samples)``,
+    or, with ``farm_root``, the sweep farm rooted there — whose jobs
     resolve to plain ``recovery`` shards, so repeated searches (and
     overlapping recovery campaigns) hit the content-addressed cache.
-    Both paths aggregate the same counts, bit-identically.
     """
-    if farm_root is not None:
-        from repro.farm.campaign import Campaign, adversary_params
-        from repro.farm.service import Farm
+    from repro.farm import Campaign, run_campaign
+    from repro.farm.campaign import adversary_params
 
-        farm = Farm(farm_root)
-        campaign = Campaign(
-            "adversary",
-            total=settings.samples,
-            params=adversary_params(
-                plan=plan.to_canonical(),
-                algorithm=settings.algorithm,
-                n=settings.n,
-                id_max=settings.id_max,
-                seed=settings.seed,
-                sched_seed=settings.sched_seed,
-                scheduler=settings.scheduler,
-                watchdog_rounds=settings.watchdog_rounds,
-            ),
-        )
-        outcome = farm.submit(
-            campaign, backend=settings.backend, block_size=settings.block_size
-        )
-        if not outcome.complete:
-            raise ConfigurationError(
-                f"farm submit left {len(outcome.failed)} shards failed "
-                f"for campaign {outcome.cid}: {outcome.failed[0][2]}"
-            )
-        summary = farm.collect_object(
-            campaign.cid, confidence=settings.confidence
-        )
-        return PlanEvaluation(
-            plan=plan,
-            samples=summary["samples"],
-            recovered=summary["recovered"],
-            wrong_stable=summary["wrong_stable"],
-            stuck=summary["stuck"],
-            rate_low=summary["rate_low"],
-            rate_high=summary["rate_high"],
-            fault_events=dict(summary["fault_events"]),
-        )
-    from repro.verification.statistical import run_recovery_shard
-
-    counts, _non_recovered, events = run_recovery_shard(
-        algorithm=settings.algorithm,
-        n=settings.n,
-        id_max=settings.id_max,
-        indices=list(range(settings.samples)),
-        seed=settings.seed,
-        sched_seed=settings.sched_seed,
-        scheduler=settings.scheduler,
+    campaign = Campaign(
+        "adversary",
+        total=settings.samples,
+        params=adversary_params(
+            plan=plan.to_canonical(),
+            algorithm=settings.algorithm,
+            n=settings.n,
+            id_max=settings.id_max,
+            seed=settings.seed,
+            sched_seed=settings.sched_seed,
+            scheduler=settings.scheduler,
+            watchdog_rounds=settings.watchdog_rounds,
+        ),
+    )
+    summary = run_campaign(
+        campaign,
+        farm_root,
         backend=settings.backend,
         block_size=settings.block_size,
-        faults=plan.to_model(),
-        watchdog_rounds=settings.watchdog_rounds,
-    )
-    low, high = clopper_pearson_interval(
-        counts["recovered"], settings.samples, confidence=settings.confidence
+        confidence=settings.confidence,
     )
     return PlanEvaluation(
         plan=plan,
-        samples=settings.samples,
-        recovered=counts["recovered"],
-        wrong_stable=counts["wrong_stable"],
-        stuck=counts["stuck"],
-        rate_low=low,
-        rate_high=high,
-        fault_events=dict(events),
+        samples=summary["samples"],
+        recovered=summary["recovered"],
+        wrong_stable=summary["wrong_stable"],
+        stuck=summary["stuck"],
+        rate_low=summary["rate_low"],
+        rate_high=summary["rate_high"],
+        fault_events=dict(summary["fault_events"]),
     )
 
 

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.parallel import (
-    ProcessCount,
-    parallel_map,
-    resolve_processes,
-    shard_evenly,
-)
+from repro.analysis.parallel import ProcessCount, parallel_map
 from repro.exceptions import ConfigurationError
 
 
@@ -118,70 +113,54 @@ def measure_chang_roberts_over_placements(
     return _stats_from_counts(n, counts)
 
 
-def _oblivious_fleet_totals(job: "Tuple[Sequence[Sequence[int]], str]") -> List[int]:
-    """Picklable worker: pulse totals of one fleet shard of Algorithm 2."""
-    from repro.simulator.fleet import run_terminating_fleet
-
-    shard, backend = job
-    return run_terminating_fleet(
-        [list(ids) for ids in shard], backend=backend
-    ).total_pulses
-
-
 def measure_oblivious_over_placements(
     n: int,
     trials: int,
     seed: int = 0,
     processes: ProcessCount = None,
     batched: bool = False,
-    fleet: bool = False,
+    fleet: Optional[bool] = None,
     backend: str = "auto",
     farm_root: Optional[Union[str, Path]] = None,
 ) -> PlacementStats:
     """The same sweep for Algorithm 2: the spread must be exactly zero.
 
-    ``batched`` runs each trial on the engine's counting fast path
-    (identical outcomes, much faster for large IDs); ``fleet`` advances
-    all trials in lockstep through the vectorized fleet engine
-    (:mod:`repro.simulator.fleet`), sharding the fleet across worker
-    processes — processes × SIMD rather than processes × scalar.  All
-    paths produce identical statistics for identical seeds.
+    ``fleet`` advances all trials in lockstep through the vectorized
+    fleet engine (:mod:`repro.simulator.fleet`) as a ``placements``
+    campaign (:func:`repro.farm.run_campaign`), one fleet per worker
+    process — processes × SIMD rather than processes × scalar.  With
+    ``fleet`` off each trial runs on its own, on the engine's counting
+    fast path when ``batched`` (identical outcomes, much faster for
+    large IDs).  All paths produce identical statistics for identical
+    seeds.  ``fleet`` defaults to on exactly when ``farm_root`` is set.
 
-    ``farm_root`` routes the sweep through the sweep farm rooted there
-    (:mod:`repro.farm`): cached placement shards are reused, new ones
-    are computed (always on the fleet path) and cached, and the stats
-    are aggregated from the store — identical to every direct path.
+    ``farm_root`` routes the fleet sweep through the sweep farm rooted
+    there (:mod:`repro.farm`): cached placement shards are reused, new
+    ones are computed and cached, and the stats are collected from the
+    store.  The farm runs only the fleet, so ``fleet=False`` with a
+    ``farm_root`` is refused.
     """
     if trials < 1:
         raise ConfigurationError(f"need at least one trial, got {trials}")
-    if farm_root is not None:
-        from repro.farm.campaign import Campaign, placements_params
-        from repro.farm.service import Farm
+    if fleet is None:
+        fleet = farm_root is not None
+    if fleet:
+        from repro.farm import Campaign, placements_params, run_campaign
 
-        farm = Farm(farm_root)
         campaign = Campaign(
             "placements", total=trials, params=placements_params(n=n, seed=seed)
         )
-        outcome = farm.submit(campaign, backend=backend, processes=processes)
-        if not outcome.complete:
-            raise ConfigurationError(
-                f"farm submit left {len(outcome.failed)} shards failed "
-                f"for campaign {outcome.cid}: {outcome.failed[0][2]}"
-            )
-        return farm.collect_object(campaign.cid)
-    placements = random_placements(n, trials, seed=seed)
-    if fleet:
-        shards = shard_evenly(placements, resolve_processes(processes))
-        per_shard = parallel_map(
-            _oblivious_fleet_totals,
-            [(shard, backend) for shard in shards],
-            processes=processes,
+        return run_campaign(
+            campaign, farm_root, backend=backend, processes=processes
         )
-        counts: List[int] = [total for shard in per_shard for total in shard]
-    else:
-        counts = parallel_map(
-            _oblivious_total,
-            [(ids, batched) for ids in placements],
-            processes=processes,
+    if farm_root is not None:
+        raise ConfigurationError(
+            "the farm runs the fleet engine only: fleet=False "
+            "(sweep --no-fleet) has no farm path"
         )
+    counts = parallel_map(
+        _oblivious_total,
+        [(ids, batched) for ids in random_placements(n, trials, seed=seed)],
+        processes=processes,
+    )
     return _stats_from_counts(n, counts)

@@ -4,8 +4,8 @@ The paper's guarantees are all-or-nothing — inside the model (FIFO
 channels, no loss or injection) the algorithms are exact; the fault
 subsystem (:mod:`repro.faults`) steps outside it on purpose.  This
 module quantifies *how* the guarantees die: for each point of a fault
-severity grid it runs the recovery harness
-(:func:`repro.verification.statistical.run_recovery_check`) over a fresh
+severity grid it runs the recovery check
+(:class:`repro.verification.statistical.RecoveryCheck`) over a fresh
 sample of instances and records the recovery probability with an exact
 Clopper–Pearson band.
 
@@ -29,10 +29,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.analysis.parallel import ProcessCount
 from repro.exceptions import ConfigurationError
 from repro.faults.model import FaultModel
-
-# NOTE: repro.verification.statistical is imported lazily inside
-# measure_degradation — it imports repro.analysis.parallel, so a module-level
-# import here would cycle through this package's __init__.
 
 
 @dataclass(frozen=True)
@@ -162,13 +158,20 @@ def measure_degradation(
     ``seed``) under :func:`model_for_rate` ``(kind, rate)``, so points
     differ only in fault severity — the curve isolates the fault knob.
 
-    With ``farm_root`` set the sweep routes through the sweep farm
-    (:mod:`repro.farm`): each (rate, shard-range) cell becomes a
-    content-addressed job, cached cells are reused (including cells a
-    standalone recovery campaign already computed), and the curve is
-    aggregated from the store — bit-identical to the direct path.
+    The curve is a ``degradation`` campaign run by
+    :func:`repro.farm.run_campaign`: without ``farm_root`` each rate's
+    samples are split evenly over ``processes`` workers and run in fleet
+    blocks of ``block_size``.  With ``farm_root`` set the sweep routes
+    through the sweep farm (:mod:`repro.farm`): each (rate, shard-range)
+    cell becomes a content-addressed job, cached cells are reused
+    (including cells a standalone recovery campaign already computed),
+    and the curve is collected from the store.  Under the ``lockstep``
+    scheduler both give the same curve; under ``seeded`` the outcomes
+    depend on the split into blocks, which the farm draws by its shard
+    size (ROADMAP item 7).
     """
-    from repro.verification.statistical import run_recovery_check
+    from repro.accel import resolve_backend
+    from repro.farm import Campaign, degradation_params, run_campaign
 
     if not rates:
         raise ConfigurationError("need at least one fault rate to sweep")
@@ -177,82 +180,30 @@ def measure_degradation(
         raise ConfigurationError(
             f"sweep rates must be non-decreasing, got {ordered}"
         )
-    if farm_root is not None:
-        from repro.accel import resolve_backend
-        from repro.farm.campaign import Campaign, degradation_params
-        from repro.farm.service import Farm
-
-        farm = Farm(farm_root)
-        campaign = Campaign(
-            "degradation",
-            total=samples,
-            params=degradation_params(
-                kind=kind,
-                rates=tuple(ordered),
-                algorithm=algorithm,
-                n=n,
-                id_max=id_max,
-                seed=seed,
-                sched_seed=sched_seed,
-                scheduler=scheduler,
-                fault_seed=fault_seed,
-                watchdog_rounds=watchdog_rounds,
-            ),
-        )
-        outcome = farm.submit(
-            campaign, backend=backend, processes=processes, block_size=block_size
-        )
-        if not outcome.complete:
-            raise ConfigurationError(
-                f"farm submit left {len(outcome.failed)} shards failed "
-                f"for campaign {outcome.cid}: {outcome.failed[0][2]}"
-            )
-        curve = farm.collect_object(
-            campaign.cid,
-            confidence=confidence,
-            backend_label=resolve_backend(backend),
-        )
-        return curve
-    points: List[DegradationPoint] = []
-    resolved_backend = backend
-    for rate in ordered:
-        report = run_recovery_check(
+    if samples < 1:
+        raise ConfigurationError(f"need at least one sample, got {samples}")
+    campaign = Campaign(
+        "degradation",
+        total=samples,
+        params=degradation_params(
+            kind=kind,
+            rates=tuple(ordered),
             algorithm=algorithm,
             n=n,
             id_max=id_max,
-            samples=samples,
             seed=seed,
             sched_seed=sched_seed,
             scheduler=scheduler,
-            backend=backend,
-            block_size=block_size,
-            confidence=confidence,
-            faults=model_for_rate(kind, rate, fault_seed),
-            max_counterexamples=0,
+            fault_seed=fault_seed,
             watchdog_rounds=watchdog_rounds,
-            processes=processes,
-        )
-        resolved_backend = report.check.backend
-        points.append(
-            DegradationPoint(
-                rate=rate,
-                samples=report.samples,
-                recovered=report.counts["recovered"],
-                wrong_stable=report.counts["wrong_stable"],
-                stuck=report.counts["stuck"],
-                low=report.rate_low,
-                high=report.rate_high,
-                fault_events=dict(report.fault_events),
-            )
-        )
-    return DegradationCurve(
-        algorithm=algorithm,
-        kind=kind,
-        n=n,
-        id_max=id_max,
+        ),
+    )
+    return run_campaign(
+        campaign,
+        farm_root,
+        backend=backend,
+        processes=processes,
+        block_size=block_size,
         confidence=confidence,
-        seed=seed,
-        backend=resolved_backend,
-        scheduler=scheduler,
-        points=points,
+        backend_label=resolve_backend(backend),
     )

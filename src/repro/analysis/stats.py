@@ -178,6 +178,11 @@ def clopper_pearson_interval(
     return (low, high)
 
 
+def z_to_confidence(z: float) -> float:
+    """Two-sided coverage of the +-z normal range (so z=2.576 -> ~0.99)."""
+    return max(1e-9, min(1 - 1e-12, math.erf(z / math.sqrt(2.0))))
+
+
 def estimate_success_rate(
     trial_fn: Callable[[int], bool], seeds: Iterable[int], z: float = 2.576
 ) -> BernoulliEstimate:

@@ -20,20 +20,10 @@ path exists for differential checking at small scale.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Union
 
-from repro.analysis.parallel import (
-    ProcessCount,
-    parallel_map,
-    resolve_processes,
-    shard_evenly,
-)
-from repro.analysis.stats import (
-    BernoulliEstimate,
-    clopper_pearson_interval,
-    estimate_success_rate,
-    wilson_interval,
-)
+from repro.analysis.parallel import ProcessCount
+from repro.analysis.stats import BernoulliEstimate
 from repro.exceptions import ConfigurationError
 
 
@@ -50,16 +40,6 @@ def whp_target(n: int, c: float) -> float:
     if c <= 0:
         raise ConfigurationError(f"sampler exponent c must be > 0, got {c}")
     return 1.0 - float(n) ** (-c)
-
-
-def _anonymous_fleet_successes(
-    job: "Tuple[int, Sequence[int], float, str]",
-) -> List[bool]:
-    """Picklable worker: per-seed success flags of one fleet shard."""
-    from repro.simulator.fleet import run_anonymous_fleet
-
-    n, seeds, c, backend = job
-    return run_anonymous_fleet(n, list(seeds), c=c, backend=backend).succeeded
 
 
 def measure_anonymous_success(
@@ -81,7 +61,7 @@ def measure_anonymous_success(
     :attr:`repro.core.anonymous.AnonymousOutcome.succeeded` predicate).
 
     Args:
-        n: Ring size.
+        n: Ring size (at least 2, as :func:`whp_target` requires).
         trials: Number of independent seeded attempts.
         c: Sampler exponent; success probability is :math:`1 - O(n^{-c})`.
         seed: First attempt seed (attempts use a contiguous seed range).
@@ -90,7 +70,7 @@ def measure_anonymous_success(
         fleet: When False, run each seed through the scalar
             :func:`repro.core.anonymous.run_anonymous` pipeline instead
             (slow; only viable at small n and lucky seeds — used by the
-            differential tests).
+            differential tests).  It has no farm path.
         backend: Fleet backend (``"auto"`` / ``"numpy"`` / ``"python"``).
         z: Confidence quantile for the Wilson interval.
         interval: ``"wilson"`` (default) or ``"clopper-pearson"`` — the
@@ -101,68 +81,32 @@ def measure_anonymous_success(
             store are reused, new shards are computed and cached, and the
             estimate is aggregated from the store — bit-identical to the
             direct path (the per-seed flags are pure in ``seed + i``).
+
+    Both engines fold their flags through the one ``whp`` fold of
+    :func:`repro.farm.run_campaign`.
     """
-    if interval not in ("wilson", "clopper-pearson"):
-        raise ConfigurationError(
-            f"unknown interval method {interval!r}; "
-            "choose 'wilson' or 'clopper-pearson'"
-        )
+    from repro.farm import Campaign, run_campaign, whp_params
+    from repro.farm.workloads import FOLDS, collect_options
+
+    options = collect_options(z=z, interval=interval)
     if trials < 1:
         raise ConfigurationError(f"need at least one trial, got {trials}")
+    whp_target(n, c)
+    campaign = Campaign("whp", total=trials, params=whp_params(n=n, c=c, seed=seed))
+    if fleet:
+        return run_campaign(
+            campaign, farm_root, backend=backend, processes=processes, **options
+        )
     if farm_root is not None:
-        from repro.farm.campaign import Campaign, whp_params
-        from repro.farm.service import Farm
-
-        farm = Farm(farm_root)
-        campaign = Campaign(
-            "whp", total=trials, params=whp_params(n=n, c=c, seed=seed)
+        raise ConfigurationError(
+            "the farm runs the fleet engine only: fleet=False "
+            "(sweep --no-fleet) has no farm path"
         )
-        outcome = farm.submit(campaign, backend=backend, processes=processes)
-        if not outcome.complete:
-            raise ConfigurationError(
-                f"farm submit left {len(outcome.failed)} shards failed "
-                f"for campaign {outcome.cid}: {outcome.failed[0][2]}"
-            )
-        return farm.collect_object(campaign.cid, z=z, interval=interval)
-    seeds = range(seed, seed + trials)
-    if not fleet:
-        from repro.core.anonymous import run_anonymous
+    from repro.core.anonymous import run_anonymous
 
-        estimate = estimate_success_rate(
-            lambda s: run_anonymous(n, c=c, seed=s).succeeded, seeds=seeds, z=z
-        )
-        if interval == "clopper-pearson":
-            low, high = clopper_pearson_interval(
-                estimate.successes, estimate.trials, confidence=_z_to_confidence(z)
-            )
-            estimate = BernoulliEstimate(
-                successes=estimate.successes,
-                trials=estimate.trials,
-                low=low,
-                high=high,
-            )
-        return estimate
-    shards = shard_evenly(list(seeds), resolve_processes(processes))
-    per_shard = parallel_map(
-        _anonymous_fleet_successes,
-        [(n, shard, c, backend) for shard in shards],
-        processes=processes,
-    )
-    flags = [flag for shard in per_shard for flag in shard]
-    successes = sum(flags)
-    if interval == "clopper-pearson":
-        low, high = clopper_pearson_interval(
-            successes, len(flags), confidence=_z_to_confidence(z)
-        )
-    else:
-        low, high = wilson_interval(successes, len(flags), z=z)
-    return BernoulliEstimate(
-        successes=successes, trials=len(flags), low=low, high=high
-    )
-
-
-def _z_to_confidence(z: float) -> float:
-    """Two-sided coverage of the +-z normal range (so z=2.576 -> ~0.99)."""
-    import math
-
-    return max(1e-9, min(1 - 1e-12, math.erf(z / math.sqrt(2.0))))
+    flags = [
+        int(run_anonymous(n, c=c, seed=s).succeeded)
+        for s in range(seed, seed + trials)
+    ]
+    fold, _layout = FOLDS["whp"]
+    return fold(campaign, [[{"succeeded": flags}]], options)

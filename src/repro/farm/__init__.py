@@ -11,8 +11,10 @@ Layering: :mod:`~repro.farm.keys` (canonical hashing) →
 :mod:`~repro.farm.store` (atomic checksummed objects) /
 :mod:`~repro.farm.ledger` (shard-state log) →
 :mod:`~repro.farm.campaign` (spec + shard grid) →
-:mod:`~repro.farm.workloads` (shard runners + aggregators) →
-:mod:`~repro.farm.service` (the :class:`Farm` pipeline).
+:mod:`~repro.farm.workloads` (shard runners + folds) →
+:mod:`~repro.farm.service` (the :class:`Farm` pipeline and
+:func:`run_campaign`, which the analysis modules call with or without
+a farm root).
 """
 
 from repro.farm.campaign import (
@@ -41,6 +43,7 @@ from repro.farm.service import (
     INJECT_FAIL_ENV,
     Farm,
     SubmitOutcome,
+    run_campaign,
 )
 from repro.farm.store import ResultStore
 from repro.farm.workloads import run_shard
@@ -66,6 +69,7 @@ __all__ = [
     "fault_model_from_canonical",
     "placements_params",
     "recovery_params",
+    "run_campaign",
     "run_shard",
     "shard_key",
     "shard_ranges",

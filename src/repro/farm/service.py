@@ -14,9 +14,10 @@ earlier submit, or an overlapping campaign), and computes the rest,
 writing each result atomically as soon as its chunk finishes.  Killing
 a submit at any instant loses at most the in-flight chunk; the next
 submit picks up from the objects on disk.  ``collect`` folds a
-complete campaign's shards into the same stats objects the foreground
-analysis modules produce — bit-identically, whatever mixture of runs
-produced the shards.
+complete campaign's shards into the stats object the analysis modules
+return — byte-identically, whatever mixture of runs produced the
+shards.  :func:`run_campaign` is the one entry point the analysis
+modules call, with or without a farm root.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.analysis.parallel import (
     ProcessCount,
     parallel_map,
     resolve_processes,
+    shard_evenly,
 )
 from repro.exceptions import ConfigurationError
 from repro.farm.campaign import Campaign
@@ -38,12 +40,10 @@ from repro.farm.ledger import Ledger, pid_alive
 from repro.farm.store import ResultStore
 from repro.farm.workloads import (
     DEFAULT_JOB_BLOCK_SIZE,
-    aggregate_ear,
-    aggregate_placements,
-    aggregate_recovery,
-    aggregate_whp,
-    degradation_curve_from_points,
-    run_shard,
+    FOLDS,
+    collect_options,
+    run_shard_task,
+    validate_campaign,
 )
 
 #: Env hook for tests/CI: comma-separated job indices whose shard run
@@ -68,7 +68,7 @@ def _run_job_task(
     """Picklable worker: one shard → ``(index, "ok", payload)`` or
     ``(index, "error", message)``.  Never raises — a failed shard must
     not take down its submit (the other shards' results still count)."""
-    index, workload, params, start, stop, backend, block_size = task
+    index, *job = task
     if index in _injected_failures():
         return (
             index,
@@ -76,9 +76,7 @@ def _run_job_task(
             f"injected failure ({INJECT_FAIL_ENV} includes {index})",
         )
     try:
-        payload = run_shard(
-            workload, params, start, stop, backend=backend, block_size=block_size
-        )
+        payload = run_shard_task(tuple(job))
     except Exception as exc:  # noqa: BLE001 - boundary: report, don't crash
         return (index, "error", f"{type(exc).__name__}: {exc}")
     return (index, "ok", payload)
@@ -205,7 +203,10 @@ class Farm:
         Results land in the store chunk by chunk — ``resolve_processes``
         shards at a time — so an interrupt loses at most one chunk of
         work and the next submit resumes from the completed shards.
+        A campaign whose jobs cannot run is refused before anything is
+        written (see :func:`~repro.farm.workloads.validate_campaign`).
         """
+        validate_campaign(campaign, backend, block_size)
         cid = self.save_campaign(campaign)
         self.ledger.record_campaign({"id": cid, **campaign.spec()})
 
@@ -313,10 +314,12 @@ class Farm:
 
     # -- collect -------------------------------------------------------
 
-    def _payloads(self, campaign: Campaign) -> List[Mapping[str, Any]]:
+    def _payloads(self, campaign: Campaign) -> List[List[Mapping[str, Any]]]:
+        """The stored payloads, one list per grid point in range order."""
+        jobs = campaign.jobs()
         payloads: List[Mapping[str, Any]] = []
         missing: List[int] = []
-        for job in campaign.jobs():
+        for job in jobs:
             payload = self.store.get(job.key)
             if payload is None:
                 missing.append(job.index)
@@ -325,121 +328,48 @@ class Farm:
         if missing:
             raise ConfigurationError(
                 f"campaign {campaign.cid} incomplete: {len(missing)} of "
-                f"{len(campaign.jobs())} shards missing "
+                f"{len(jobs)} shards missing "
                 f"(first missing job index {missing[0]}) — "
                 "run `repro farm submit` again to compute them"
             )
-        return payloads
+        return _by_point(payloads, len(jobs) // len(campaign.grid()))
 
-    def collect_object(
-        self,
-        cid: str,
-        confidence: float = 0.99,
-        z: float = 2.576,
-        interval: str = "wilson",
-        backend_label: str = "farm",
-    ) -> Any:
+    def collect_object(self, cid: str, **options: Any) -> Any:
         """Aggregate a complete campaign into its native stats object.
 
-        Returns exactly what the foreground analysis module would have:
-        a recovery summary dict, a
+        Returns what the analysis module returns for the same sweep: a
+        recovery summary dict, a
         :class:`~repro.analysis.degradation.DegradationCurve`, a
         :class:`~repro.analysis.stats.BernoulliEstimate`, or a
-        :class:`~repro.analysis.average_case.PlacementStats` — which is
-        how ``measure_*(..., farm_root=...)`` keeps its return type.
-        Raises :class:`ConfigurationError` when shards are missing or
-        fail checksum verification (those are quarantined so the next
+        :class:`~repro.analysis.average_case.PlacementStats`.
+        ``options`` are :func:`~repro.farm.workloads.collect_options`'s,
+        validated before any shard is read.  Raises
+        :class:`ConfigurationError` when shards are missing or fail
+        checksum verification (those are quarantined so the next
         submit recomputes them).
         """
-        campaign = self.load_campaign(cid)
-        payloads = self._payloads(campaign)
-        if campaign.workload in ("recovery", "adversary"):
-            return aggregate_recovery(
-                payloads, campaign.total, confidence=confidence
-            )
-        if campaign.workload == "degradation":
-            per_point = len(campaign.jobs()) // len(campaign.grid())
-            summaries = [
-                aggregate_recovery(
-                    payloads[
-                        point_index * per_point : (point_index + 1) * per_point
-                    ],
-                    campaign.total,
-                    confidence=confidence,
-                )
-                for point_index in range(len(campaign.grid()))
-            ]
-            return degradation_curve_from_points(
-                campaign.params,
-                summaries,
-                campaign.total,
-                confidence,
-                backend_label,
-            )
-        if campaign.workload == "whp":
-            return aggregate_whp(
-                payloads, campaign.total, z=z, interval=interval
-            )
-        if campaign.workload == "placements":
-            return aggregate_placements(
-                payloads, campaign.params["n"], campaign.total
-            )
-        if campaign.workload == "ear":
-            return aggregate_ear(
-                payloads, campaign.total, confidence=confidence
-            )
-        # pragma: no cover - Campaign.__post_init__ forbids this
-        raise ConfigurationError(
-            f"no collector for workload {campaign.workload!r}"
-        )
+        return self._collect(cid, collect_options(**options))[1]
 
-    def collect(
-        self,
-        cid: str,
-        confidence: float = 0.99,
-        z: float = 2.576,
-        interval: str = "wilson",
-        backend_label: str = "farm",
-    ) -> Dict[str, Any]:
+    def _collect(self, cid: str, options: Dict[str, Any]) -> Tuple[Campaign, Any]:
+        campaign = self.load_campaign(cid)
+        fold, _layout = FOLDS[campaign.workload]
+        return campaign, fold(campaign, self._payloads(campaign), options)
+
+    def collect(self, cid: str, **options: Any) -> Dict[str, Any]:
         """:meth:`collect_object` as a JSON-ready dict.
 
         The dict is assembled from counts and one-shot interval
         arithmetic only, so it is byte-identical (via
         :func:`collect_text`) for any cold/warm/mixed execution history.
         """
-        campaign = self.load_campaign(cid)
-        spec = {"id": campaign.cid, **campaign.spec()}
-        obj = self.collect_object(
-            campaign.cid,
-            confidence=confidence,
-            z=z,
-            interval=interval,
-            backend_label=backend_label,
-        )
-        if campaign.workload in ("recovery", "ear", "adversary"):
-            result: Any = obj
-        elif campaign.workload == "degradation":
-            result = obj.to_dict()
-        elif campaign.workload == "whp":
-            result = {
-                "successes": obj.successes,
-                "trials": obj.trials,
-                "rate": obj.rate,
-                "low": obj.low,
-                "high": obj.high,
-                "interval": interval,
-            }
-        else:
-            result = {
-                "n": obj.n,
-                "trials": obj.trials,
-                "mean": obj.mean,
-                "minimum": obj.minimum,
-                "maximum": obj.maximum,
-                "spread": obj.spread,
-                "zero_spread": obj.spread == 0,
-            }
-        return {"campaign": spec, "workload": campaign.workload, "result": result}
+        options = collect_options(**options)
+        campaign, obj = self._collect(cid, options)
+        _fold, layout = FOLDS[campaign.workload]
+        return {
+            "campaign": {"id": campaign.cid, **campaign.spec()},
+            "workload": campaign.workload,
+            "result": layout(obj, options),
+        }
 
     def collect_text(self, cid: str, **kwargs: Any) -> str:
         """The canonical-JSON form of :meth:`collect` — the byte string
@@ -455,3 +385,67 @@ class Farm:
         counters = self.ledger.compact(live_campaigns=set(self.campaign_ids()))
         counters["tmp_files"] = self.store.sweep_tmp()
         return counters
+
+
+def _by_point(payloads: List[Any], per_point: int) -> List[List[Any]]:
+    """Grid-major payloads cut into one list per grid point."""
+    return [
+        payloads[offset : offset + per_point]
+        for offset in range(0, len(payloads), per_point)
+    ]
+
+
+def run_campaign(
+    campaign: Campaign,
+    root: Optional[Union[str, Path]] = None,
+    *,
+    backend: str = "auto",
+    processes: ProcessCount = None,
+    block_size: int = DEFAULT_JOB_BLOCK_SIZE,
+    **collect_kwargs: Any,
+) -> Any:
+    """Compute ``campaign`` and fold it into its stats object.
+
+    With ``root``, the campaign goes through the farm there: cached
+    shards are reused, the rest are computed and stored, and the stats
+    are collected from the store.  Without it, nothing is stored: each
+    grid point's ``range(total)`` is split into one contiguous range per
+    worker (:func:`~repro.analysis.parallel.shard_evenly`, not the
+    campaign's ``shard_size``: fewer, larger fleets, and the split the
+    direct sweeps have always used, which seeded schedules depend on),
+    each range runs through the same :func:`~repro.farm.workloads.run_shard`,
+    and the payloads fold through the same table
+    (:data:`~repro.farm.workloads.FOLDS`).  ``collect_kwargs`` are
+    :func:`~repro.farm.workloads.collect_options`'s, validated, like
+    the campaign, before any shard runs.
+    """
+    options = collect_options(**collect_kwargs)
+    if root is not None:
+        farm = Farm(root)
+        outcome = farm.submit(
+            campaign, backend=backend, processes=processes, block_size=block_size
+        )
+        if not outcome.complete:
+            raise ConfigurationError(
+                f"farm submit left {len(outcome.failed)} shards failed "
+                f"for campaign {outcome.cid}: {outcome.failed[0][2]}"
+            )
+        return farm.collect_object(campaign.cid, **options)
+    validate_campaign(campaign, backend, block_size)
+    ranges = [
+        (shard[0], shard[-1] + 1)
+        for shard in shard_evenly(
+            range(campaign.total), resolve_processes(processes)
+        )
+    ]
+    payloads = parallel_map(
+        run_shard_task,
+        [
+            (campaign.job_workload, dict(point), start, stop, backend, block_size)
+            for point in campaign.grid()
+            for start, stop in ranges
+        ],
+        processes=processes,
+    )
+    fold, _layout = FOLDS[campaign.workload]
+    return fold(campaign, _by_point(payloads, len(ranges)), options)

@@ -161,14 +161,19 @@ def _check_fleet(id_lists: Sequence[Sequence[int]], unique: bool) -> Tuple[int, 
     return len(id_lists), n
 
 
-def _check_run(
-    id_lists: Sequence[Sequence[int]], unique: bool, backend: str, scheduler: str
-) -> str:
-    """Validate a runner's call; returns the backend that will run."""
+def check_scheduler(scheduler: str) -> None:
+    """Refuse a scheduler name the fleet runners do not know."""
     if scheduler not in ("lockstep", "seeded"):
         raise ConfigurationError(
             f"unknown fleet scheduler {scheduler!r}; choose 'lockstep' or 'seeded'"
         )
+
+
+def _check_run(
+    id_lists: Sequence[Sequence[int]], unique: bool, backend: str, scheduler: str
+) -> str:
+    """Validate a runner's call; returns the backend that will run."""
+    check_scheduler(scheduler)
     resolved = resolve_backend(backend)
     _check_fleet(id_lists, unique)
     return resolved

@@ -100,6 +100,7 @@ from repro.faults.model import FaultModel, PulseDrop
 from repro.simulator.fleet import (
     DEFAULT_MAX_ROUNDS,
     _mix64,
+    check_scheduler,
     run_nonoriented_fleet,
     run_terminating_fleet,
 )
@@ -241,6 +242,7 @@ class RingCheck(Check):
             raise ConfigurationError(
                 f"id_max={self.id_max} cannot host {self.n} distinct IDs"
             )
+        check_scheduler(self.scheduler)
 
     def sample(self, index: int) -> Tuple[List[int], Optional[List[bool]]]:
         ids = ids_for_instance(self.seed, index, self.n, self.id_max)
@@ -508,6 +510,7 @@ class TopologyCheck(Check):
                 f"id_max={self.id_max} cannot host {self.graph.n} distinct IDs"
             )
         require_two_edge_connected(self.graph)
+        check_scheduler(self.scheduler)
 
     @cached_property
     def routing(self) -> Any:
@@ -906,29 +909,6 @@ def run_recovery_check(
     return run_check(
         check, samples, confidence, block_size, max_counterexamples, processes
     )
-
-
-def run_recovery_shard(
-    algorithm: str,
-    n: int,
-    id_max: int,
-    indices: List[int],
-    seed: int = 0,
-    sched_seed: int = 0,
-    scheduler: str = "lockstep",
-    backend: str = "auto",
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    faults: Optional[FaultModel] = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    watchdog_rounds: Optional[int] = None,
-) -> Tuple[Dict[str, int], List[Failure], Dict[str, int]]:
-    """:func:`check_shard` of the recovery check over ``indices``."""
-    check = RecoveryCheck(
-        algorithm=algorithm, n=n, id_max=id_max, seed=seed, sched_seed=sched_seed,
-        scheduler=scheduler, backend=backend, fault=faults, max_rounds=max_rounds,
-        watchdog_rounds=watchdog_rounds,
-    )
-    return check_shard(check, indices, block_size)
 
 
 def run_anonymous_whp_check(

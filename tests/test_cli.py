@@ -237,6 +237,21 @@ class TestParsing:
             ("sweep --workload placements --trials 0 --no-fleet",
              "need at least one trial, got 0"),
             ("compare --n 0", "need at least one node, got n=0"),
+            ("farm collect --root unused --confidence 1.5",
+             "confidence must be in (0, 1), got 1.5"),
+            ("faults sweep --samples 8 --confidence 1.5",
+             "confidence must be in (0, 1), got 1.5"),
+            ("faults sweep --samples 8 --confidence 1.5 --farm unused",
+             "confidence must be in (0, 1), got 1.5"),
+            ("sweep --workload whp --n 1", "need a ring of at least 2 nodes, got n=1"),
+            ("sweep --workload whp --n 6 --c 0 --no-fleet",
+             "sampler exponent c must be > 0, got 0.0"),
+            ("sweep --workload placements --no-fleet --farm unused",
+             "the farm runs the fleet engine only: fleet=False "
+             "(sweep --no-fleet) has no farm path"),
+            ("sweep --workload whp --no-fleet --farm unused",
+             "the farm runs the fleet engine only: fleet=False "
+             "(sweep --no-fleet) has no farm path"),
         ],
     )
     def test_configuration_errors_exit_with_the_message(self, argv, message, capsys):

@@ -572,6 +572,116 @@ class TestFarmMatchesDirectPaths:
             assert farmed == direct
 
 
+#: Campaigns whose jobs cannot run, each with the block size it is
+#: submitted at and the message the direct path fails with.
+UNRUNNABLE = {
+    "block-size-0": (
+        Campaign("recovery", total=8, params=recovery_params()),
+        0,
+        "block_size must be >= 1, got 0",
+    ),
+    "algorithm": (
+        Campaign("recovery", total=8, params=recovery_params(algorithm="warmup")),
+        8,
+        "statistical checking supports algorithm='terminating'",
+    ),
+    "scheduler": (
+        Campaign("recovery", total=8, params=recovery_params(scheduler="fifo")),
+        8,
+        "unknown fleet scheduler 'fifo'",
+    ),
+    "ring-size": (
+        Campaign("recovery", total=8, params=recovery_params(n=1)),
+        8,
+        "need a ring of at least 2 nodes, got n=1",
+    ),
+    "degradation-kind": (
+        Campaign("degradation", total=8, params=degradation_params(kind="flip")),
+        8,
+        "unknown sweep kind 'flip'",
+    ),
+    "whp-c": (
+        Campaign("whp", total=8, params=whp_params(n=6, c=0.0)),
+        8,
+        "sampler exponent c must be > 0, got 0.0",
+    ),
+    "placements-n": (
+        Campaign("placements", total=8, params=placements_params(n=0)),
+        8,
+        "need at least one ID",
+    ),
+}
+
+
+class TestRefusedBeforeAnythingIsWritten:
+    @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+    def test_submit_refuses_with_the_direct_message(self, case, tmp_path):
+        from repro.farm import run_campaign
+
+        campaign, block_size, message = UNRUNNABLE[case]
+        with pytest.raises(ConfigurationError) as direct:
+            run_campaign(campaign, block_size=block_size, backend="python")
+        with pytest.raises(ConfigurationError) as farmed:
+            Farm(tmp_path).submit(campaign, block_size=block_size, backend="python")
+        assert message in str(direct.value)
+        assert str(farmed.value) == str(direct.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_submit_block_size_0_writes_no_campaign(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["farm", "submit", "--root", str(tmp_path), "--total", "8",
+                  "--block-size", "0"])
+        assert excinfo.value.code == "block_size must be >= 1, got 0"
+        assert not (tmp_path / "campaigns").exists()
+
+    def test_confidence_is_checked_before_any_shard_runs(self, tmp_path):
+        from repro.analysis.degradation import measure_degradation
+
+        with pytest.raises(ConfigurationError, match=r"confidence must be in \(0, 1\), got 1.5"):
+            measure_degradation([0.0], samples=8, confidence=1.5, farm_root=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ConfigurationError, match=r"confidence must be in \(0, 1\), got 1.5"):
+            Farm(tmp_path).collect("last", confidence=1.5)
+
+
+class TestOneRulePerStatistic:
+    @pytest.mark.parametrize("route", ["fleet", "scalar", "farm"])
+    @pytest.mark.parametrize(
+        "n, c, message",
+        [
+            (1, 2.0, "need a ring of at least 2 nodes, got n=1"),
+            (6, 0.0, "sampler exponent c must be > 0, got 0.0"),
+        ],
+    )
+    def test_whp_refuses_what_whp_check_refuses(self, route, n, c, message, tmp_path):
+        from repro.analysis.whp import measure_anonymous_success
+
+        kwargs = {"fleet": route != "scalar"}
+        if route == "farm":
+            kwargs["farm_root"] = tmp_path
+        with pytest.raises(ConfigurationError) as excinfo:
+            measure_anonymous_success(n, 5, c=c, **kwargs)
+        assert str(excinfo.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fleet_false_has_no_farm_path(self, tmp_path):
+        from repro.analysis.average_case import (
+            measure_oblivious_over_placements,
+        )
+        from repro.analysis.whp import measure_anonymous_success
+
+        message = "the farm runs the fleet engine only"
+        with pytest.raises(ConfigurationError, match=message):
+            measure_oblivious_over_placements(
+                5, 4, fleet=False, batched=True, farm_root=tmp_path
+            )
+        with pytest.raises(ConfigurationError, match=message):
+            measure_anonymous_success(5, 4, fleet=False, farm_root=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
 def _submit_subprocess(root: Path, total: int, shard_size: int) -> subprocess.Popen:
     """Launch `repro farm submit` for the battery's recovery campaign."""
     env = {**os.environ, "PYTHONPATH": SRC_DIR}

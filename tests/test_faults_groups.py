@@ -27,7 +27,7 @@ from repro.faults.model import (
 )
 from repro.simulator.fleet import HAVE_NUMPY
 from repro.simulator.ring import build_oriented_ring
-from repro.verification.statistical import run_recovery_shard
+from repro.verification.statistical import RecoveryCheck, check_shard
 
 from strategies import fault_groups
 
@@ -168,13 +168,17 @@ class TestNodeCrashEdgeSemantics:
     @pytest.mark.parametrize("backend", FLEET_BACKENDS)
     def test_crash_at_round_one_classifies_identically(self, backend):
         faults = FaultModel(crashes=(NodeCrash(node=1, at_round=1),))
-        counts, non_rec, events = run_recovery_shard(
-            "nonoriented", 4, 30, list(range(8)),
-            faults=faults, backend=backend,
+        counts, non_rec, events = check_shard(
+            RecoveryCheck(
+                algorithm="nonoriented", n=4, id_max=30, fault=faults, backend=backend,
+            ),
+            list(range(8)),
         )
-        ref_counts, ref_non_rec, ref_events = run_recovery_shard(
-            "nonoriented", 4, 30, list(range(8)),
-            faults=faults, backend="python",
+        ref_counts, ref_non_rec, ref_events = check_shard(
+            RecoveryCheck(
+                algorithm="nonoriented", n=4, id_max=30, fault=faults, backend="python",
+            ),
+            list(range(8)),
         )
         assert (counts, non_rec, events) == (ref_counts, ref_non_rec, ref_events)
 
@@ -187,13 +191,17 @@ class TestNodeCrashEdgeSemantics:
             crashes=(NodeCrash(node=1, at_round=3, restart_after=horizon),)
         )
         forever = FaultModel(crashes=(NodeCrash(node=1, at_round=3),))
-        late_run = run_recovery_shard(
-            "nonoriented", 4, 30, list(range(6)),
-            faults=late, backend=backend,
+        late_run = check_shard(
+            RecoveryCheck(
+                algorithm="nonoriented", n=4, id_max=30, fault=late, backend=backend,
+            ),
+            list(range(6)),
         )
-        forever_run = run_recovery_shard(
-            "nonoriented", 4, 30, list(range(6)),
-            faults=forever, backend=backend,
+        forever_run = check_shard(
+            RecoveryCheck(
+                algorithm="nonoriented", n=4, id_max=30, fault=forever, backend=backend,
+            ),
+            list(range(6)),
         )
         late_counts, late_non_rec, late_events = late_run
         forever_counts, forever_non_rec, forever_events = forever_run
@@ -210,9 +218,11 @@ class TestNodeCrashEdgeSemantics:
             crashes=(NodeCrash(node=2, at_round=9, restart_after=4),)
         )
         runs = [
-            run_recovery_shard(
-                "nonoriented", 5, 40, list(range(8)),
-                faults=faults, backend=backend,
+            check_shard(
+                RecoveryCheck(
+                    algorithm="nonoriented", n=5, id_max=40, fault=faults, backend=backend,
+                ),
+                list(range(8)),
             )
             for backend in FLEET_BACKENDS
         ]
@@ -243,13 +253,17 @@ def _grouped_model() -> FaultModel:
 class TestGroupedBackendConformance:
     @pytest.mark.parametrize("backend", FLEET_BACKENDS)
     def test_grouped_model_matches_python_reference(self, backend):
-        reference = run_recovery_shard(
-            "nonoriented", 5, 40, list(range(10)),
-            faults=_grouped_model(), backend="python",
+        reference = check_shard(
+            RecoveryCheck(
+                algorithm="nonoriented", n=5, id_max=40, fault=_grouped_model(), backend="python",
+            ),
+            list(range(10)),
         )
-        observed = run_recovery_shard(
-            "nonoriented", 5, 40, list(range(10)),
-            faults=_grouped_model(), backend=backend,
+        observed = check_shard(
+            RecoveryCheck(
+                algorithm="nonoriented", n=5, id_max=40, fault=_grouped_model(), backend=backend,
+            ),
+            list(range(10)),
         )
         assert observed == reference
         counts, _non_rec, events = reference
@@ -270,9 +284,11 @@ class TestGroupedBackendConformance:
             )
         )
         runs = [
-            run_recovery_shard(
-                "nonoriented", 4, 30, list(range(8)),
-                faults=faults, backend=backend,
+            check_shard(
+                RecoveryCheck(
+                    algorithm="nonoriented", n=4, id_max=30, fault=faults, backend=backend,
+                ),
+                list(range(8)),
             )
             for backend in FLEET_BACKENDS
         ]
@@ -288,9 +304,11 @@ class TestGroupedBackendConformance:
             groups=(group,),
         )
         runs = [
-            run_recovery_shard(
-                "nonoriented", 4, 24, list(range(4)),
-                faults=model, backend=backend,
+            check_shard(
+                RecoveryCheck(
+                    algorithm="nonoriented", n=4, id_max=24, fault=model, backend=backend,
+                ),
+                list(range(4)),
             )
             for backend in FLEET_BACKENDS
         ]
@@ -304,15 +322,17 @@ class TestGroupedShardStability:
         counts, sorted non-recovered list, and merged event totals —
         the property the farm's fixed-range shards rely on."""
         model = _grouped_model()
-        whole = run_recovery_shard(
-            "nonoriented", 5, 40, list(range(12)), faults=model,
+        whole = check_shard(
+            RecoveryCheck(algorithm="nonoriented", n=5, id_max=40, fault=model),
+            list(range(12)),
         )
         counts: dict = {}
         non_rec: list = []
         events: dict = {}
         for chunk in ([0, 1, 2], [3], [4, 5, 6, 7], [8, 9, 10, 11]):
-            c, nr, ev = run_recovery_shard(
-                "nonoriented", 5, 40, chunk, faults=model,
+            c, nr, ev = check_shard(
+                RecoveryCheck(algorithm="nonoriented", n=5, id_max=40, fault=model),
+                chunk,
             )
             counts = {
                 key: counts.get(key, 0) + value for key, value in c.items()
@@ -325,10 +345,12 @@ class TestGroupedShardStability:
 
     def test_block_size_does_not_change_grouped_results(self):
         model = _grouped_model()
-        small = run_recovery_shard(
-            "nonoriented", 5, 40, list(range(10)), faults=model, block_size=2,
+        small = check_shard(
+            RecoveryCheck(algorithm="nonoriented", n=5, id_max=40, fault=model),
+            list(range(10)), 2,
         )
-        large = run_recovery_shard(
-            "nonoriented", 5, 40, list(range(10)), faults=model, block_size=64,
+        large = check_shard(
+            RecoveryCheck(algorithm="nonoriented", n=5, id_max=40, fault=model),
+            list(range(10)), 64,
         )
         assert small == large
