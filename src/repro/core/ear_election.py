@@ -19,6 +19,10 @@ attempting a run that cannot be correct.
 On a ring the walk is the ring, every stride is 1, and the virtual IDs
 equal the physical IDs: this module *is* Algorithm 1 there, not a
 variant — pinned by the degree-2 specialization tests.
+
+The front door :func:`elect_leader_ear` runs on the batched engine: the
+adversary picks a channel; each pick delivers its whole FIFO run.
+:func:`run_ear_election` keeps the per-pulse engine as its default.
 """
 
 from __future__ import annotations
@@ -204,11 +208,22 @@ def elect_leader_ear(
     ids: Sequence[int],
     scheduler: Optional[Scheduler] = None,
     max_steps: int = 10_000_000,
-    batched: bool = False,
 ) -> ElectionReport:
-    """Uniform-report front door for the 2-edge-connected election."""
+    """Uniform-report front door for the 2-edge-connected election.
+
+    Runs on the batched engine: the adversary picks a channel; each pick
+    delivers its whole FIFO run.  That is a legal schedule, and the
+    report's fields are the same on every schedule.
+
+    Args:
+        graph: The physical topology (bridges are refused, as in
+            :func:`run_ear_election`).
+        ids: Unique positive IDs, indexed by vertex.
+        scheduler: Asynchronous adversary; defaults to global FIFO.
+        max_steps: Engine safety bound, counted in picks.
+    """
     outcome = run_ear_election(
-        graph, ids, scheduler=scheduler, max_steps=max_steps, batched=batched
+        graph, ids, scheduler=scheduler, max_steps=max_steps, batched=True
     )
     states = outcome.states
     return ElectionReport(

@@ -8,6 +8,14 @@ examples, benchmarks, and downstream users have a uniform API:
   also orients the ring.
 * :func:`elect_leader_anonymous` — Theorem 3 (Algorithm 4 + Algorithm 3),
   stabilizing, succeeds with high probability.
+
+The oriented and nonoriented doors run on the batched engine: the
+adversary picks a channel; each pick delivers its whole FIFO run.  That
+is the adversary picking the same channel again until its queue is
+empty, a legal schedule, and every field of the report is the same on
+every schedule (``docs/PERFORMANCE.md``, "Adversary equivalence").  The
+per-pulse engine stays the runners' default (``batched=False``), which
+the explorers and property tests drive.
 """
 
 from __future__ import annotations
@@ -75,10 +83,13 @@ def elect_leader_oriented(
 
     Args:
         ids: Unique positive node IDs in clockwise order.
-        scheduler: Asynchronous adversary; defaults to global FIFO.
-        max_steps: Engine safety bound.
+        scheduler: Asynchronous adversary; defaults to global FIFO.  It
+            picks a channel; each pick delivers its whole FIFO run.
+        max_steps: Engine safety bound, counted in picks.
     """
-    outcome = run_terminating(ids, scheduler=scheduler, max_steps=max_steps)
+    outcome = run_terminating(
+        ids, scheduler=scheduler, max_steps=max_steps, batched=True
+    )
     states = [node.output for node in outcome.nodes]
     return ElectionReport(
         setting="oriented",
@@ -106,11 +117,17 @@ def elect_leader_nonoriented(
         flips: Adversarial per-node port flips (None = unflipped).
         scheme: Virtual-ID scheme; the default reproduces Theorem 2's
             ``n(2*IDmax+1)`` bound, ``IdScheme.DOUBLED`` Proposition 15's.
-        scheduler: Asynchronous adversary; defaults to global FIFO.
-        max_steps: Engine safety bound.
+        scheduler: Asynchronous adversary; defaults to global FIFO.  It
+            picks a channel; each pick delivers its whole FIFO run.
+        max_steps: Engine safety bound, counted in picks.
     """
     outcome = run_nonoriented(
-        ids, flips=flips, scheme=scheme, scheduler=scheduler, max_steps=max_steps
+        ids,
+        flips=flips,
+        scheme=scheme,
+        scheduler=scheduler,
+        max_steps=max_steps,
+        batched=True,
     )
     return ElectionReport(
         setting="nonoriented",

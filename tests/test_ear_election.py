@@ -4,8 +4,8 @@ The ear-walk election (the Chang–Chen–Zhou lift of Algorithm 1) must:
 elect exactly the maximum-ID vertex on every 2-edge-connected graph,
 spend exactly ``L * IDmax * C`` pulses (the Corollary 13 bound on the
 virtual ring), degenerate to Algorithm 1 on rings (stride 1, virtual
-IDs == physical IDs), agree between the scalar engine and the fleet
-backends, and *refuse* graphs below the frontier with the bridge edge
+IDs == physical IDs), agree between the batched and the per-pulse
+engine and between the scalar engine and the fleet backends, and *refuse* graphs below the frontier with the bridge edge
 as an impossibility witness.
 """
 
@@ -23,6 +23,7 @@ from repro.graphs.samples import (
     random_ear_composition,
     theta_graph,
 )
+from repro.simulator.scheduler import all_standard_schedulers
 
 from .strategies import two_edge_connected_graphs
 
@@ -135,6 +136,52 @@ class TestEngineElection:
             run_ear_election(graph, [1, 2, 3])  # wrong length
         with pytest.raises(ConfigurationError):
             run_ear_election(graph, [1, 1] + list(range(2, graph.n)))
+
+
+DIFFERENTIAL_GRAPHS = {
+    "theta": theta_graph(),
+    "theta-012": theta_graph(0, 1, 2),
+    "theta-222": theta_graph(2, 2, 2),
+    "nested-2": nested_ears(2),
+    "nested-3": nested_ears(3),
+    "ring-5": Graph.ring(5),
+    **{f"random-{seed}": random_ear_composition(seed) for seed in range(4)},
+}
+
+
+class TestBatchedMatchesPerPulse:
+    """A batched step is the adversary picking one channel until its
+    queue is empty, a legal schedule, so every observable of the batched
+    run equals the per-pulse run's under the same scheduler."""
+
+    @pytest.mark.parametrize("name", sorted(all_standard_schedulers()))
+    @pytest.mark.parametrize("draw", range(4))
+    @pytest.mark.parametrize("label", sorted(DIFFERENTIAL_GRAPHS))
+    def test_batched_equals_per_pulse(self, label, draw, name):
+        graph = DIFFERENTIAL_GRAPHS[label]
+        ids = _ids_for(graph.n, seed=draw)
+        slow, fast = (
+            run_ear_election(
+                graph,
+                ids,
+                scheduler=all_standard_schedulers(seed=draw)[name],
+                batched=batched,
+            )
+            for batched in (False, True)
+        )
+        assert fast.leaders == slow.leaders == [ids.index(max(ids))]
+        assert fast.states == slow.states
+        assert fast.occurrence_states == slow.occurrence_states
+        assert [node.rho for node in fast.nodes] == [node.rho for node in slow.nodes]
+        assert [node.sigma for node in fast.nodes] == [
+            node.sigma for node in slow.nodes
+        ]
+        assert fast.total_pulses == slow.total_pulses == slow.claimed_bound
+        assert dict(fast.run.trace.sends_by_port) == dict(slow.run.trace.sends_by_port)
+        assert dict(fast.run.trace.recvs_by_port) == dict(slow.run.trace.recvs_by_port)
+        assert fast.run.quiescent and slow.run.quiescent
+        assert fast.run.quiescence_violations == slow.run.quiescence_violations == []
+        assert fast.run.steps <= slow.run.steps
 
 
 class TestBridgeRefusal:
