@@ -20,8 +20,12 @@ Each verb is the module ``repro.cli.<verb>``, with an
 ``add_arguments(parser)`` and a ``run(args)``.  :func:`main` names every
 verb in the parser but imports and fills in only the one on the command
 line.  It is also the one error boundary: a
-:class:`~repro.exceptions.ConfigurationError` exits with its message, and
-an :class:`argparse.ArgumentError` a verb raises exits 2 with the usage.
+:class:`~repro.exceptions.ConfigurationError` exits 1 with its message, a
+:class:`~repro.exceptions.SimulationLimitExceeded` (a run that hit its
+step budget) exits 1 with one line naming it, and an
+:class:`argparse.ArgumentError` a verb raises exits 2 with the usage.  A
+:class:`~repro.exceptions.ProtocolViolation` is a bug, not a bad input,
+and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import importlib
 import sys
 from typing import Optional, Sequence
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationLimitExceeded
 
 #: verb -> its one-line ``--help``.
 VERBS = {
@@ -72,3 +76,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(str(error))
     except ConfigurationError as error:
         raise SystemExit(str(error)) from None
+    except SimulationLimitExceeded as error:
+        raise SystemExit(f"{type(error).__name__}: {error}") from None

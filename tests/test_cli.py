@@ -259,6 +259,33 @@ class TestParsing:
             main(argv.split())
         assert excinfo.value.code == message
 
+    def test_step_budget_exits_with_one_line_naming_the_error(self, monkeypatch):
+        from repro.core import election
+
+        real = election.elect_leader_oriented
+        monkeypatch.setattr(
+            election,
+            "elect_leader_oriented",
+            lambda ids, scheduler=None: real(ids, scheduler=scheduler, max_steps=3),
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["elect", "--ids", "3,7,5,2"])
+        assert excinfo.value.code == (
+            "SimulationLimitExceeded: no quiescence after 3 deliveries "
+            "(4 still in flight)"
+        )
+
+    def test_protocol_violation_keeps_its_traceback(self, monkeypatch):
+        from repro.core import election
+        from repro.exceptions import ProtocolViolation
+
+        def broken(ids, scheduler=None):
+            raise ProtocolViolation("two leaders")
+
+        monkeypatch.setattr(election, "elect_leader_oriented", broken)
+        with pytest.raises(ProtocolViolation, match="two leaders"):
+            main(["elect", "--ids", "3,7"])
+
     @pytest.mark.parametrize(
         "verb", [["sweep"], ["verify", "--statistical"], ["faults", "sweep"],
                  ["farm", "submit", "--root", "unused"]],
