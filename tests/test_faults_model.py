@@ -310,6 +310,21 @@ class TestRecoveryHarness:
         assert report.counts["stuck"] == 16
         assert report.counterexamples[0].classification == "stuck"
 
+    def test_mid_run_crash_is_classified_and_replays(self):
+        """A crash without restart strands Algorithm 3: every run lands in
+        one class, and the first counterexample replays from its seeds."""
+        report = run_recovery_check(
+            algorithm="nonoriented",
+            n=5,
+            id_max=40,
+            samples=32,
+            faults=FaultModel(crashes=(NodeCrash(node=1, at_round=3),)),
+            max_counterexamples=1,
+        )
+        assert sum(report.counts.values()) == report.samples == 32
+        assert report.counterexamples
+        assert report.counterexamples[0].replay() is not None
+
     def test_single_pulse_drop_accepted(self):
         drop = PulseDrop(round_index=3, node=1, instance=2)
         report = run_recovery_check(
@@ -359,3 +374,28 @@ class TestDegradationSweep:
         assert payload["clean_at_zero"] and payload["monotone_within_bands"]
         assert len(payload["points"]) == 2
         assert 0.0 <= heavy.low <= heavy.success_rate <= heavy.high <= 1.0
+
+    @pytest.mark.parametrize(
+        "kind,rates",
+        [
+            ("drop", [0.0, 0.01, 0.05]),
+            ("duplicate", [0.0, 0.05]),
+            ("spurious", [0.0, 0.05]),
+            ("crash", [0.0, 0.02]),
+        ],
+    )
+    def test_every_kind_is_clean_at_zero_and_monotone(self, kind, rates):
+        """The robustness contract (docs/ROBUSTNESS.md) on every fault kind."""
+        curve = measure_degradation(
+            rates,
+            kind=kind,
+            algorithm="nonoriented",
+            n=5,
+            id_max=40,
+            samples=64,
+            fault_seed=7,
+            processes=1,
+        )
+        assert [p.rate for p in curve.points] == rates
+        assert curve.clean_at_zero
+        assert curve.monotone_within_bands()
