@@ -10,7 +10,8 @@ sample of instances and records the recovery probability with an exact
 Clopper–Pearson band.
 
 The resulting :class:`DegradationCurve` is the repo's robustness
-contract, checked in as ``BENCH_faults.json``:
+contract, which ``tests/test_faults_model.py`` checks on every fault
+kind:
 
 * at fault rate 0 the success rate must be exactly 1.0 (the control arm
   — the fault harness itself must not perturb a fault-free run);
