@@ -54,7 +54,8 @@ class RunResult:
     Attributes:
         quiescent: True iff the run ended with no message in flight (as
             opposed to hitting the step limit, which raises instead).
-        steps: Number of deliveries performed.
+        steps: Number of scheduler steps taken.  A step delivers one
+            pulse, or on the batched engine one channel's whole FIFO run.
         total_sent: Total messages sent — the paper's message complexity.
         outputs: Per-node ``output`` values (None if the node never set one).
         terminated: Per-node termination flags.
@@ -116,7 +117,7 @@ class Engine:
         network: The wired topology with its node objects.
         scheduler: The asynchronous adversary; defaults to global-FIFO.
             Scheduler instances are stateful — use a fresh one per run.
-        max_steps: Safety bound on deliveries; exceeding it raises
+        max_steps: Safety bound on scheduler steps; exceeding it raises
             :class:`~repro.exceptions.SimulationLimitExceeded` (livelock guard).
         strict_quiescence: Raise the moment a quiescent-termination
             violation is observed instead of merely recording it.
@@ -282,8 +283,8 @@ class Engine:
         """Execute to quiescence and return the :class:`RunResult`.
 
         Raises:
-            SimulationLimitExceeded: If ``max_steps`` deliveries happen
-                without reaching quiescence.
+            SimulationLimitExceeded: If ``max_steps`` scheduler steps
+                happen without reaching quiescence.
             QuiescentTerminationViolation: In strict mode, on the first
                 pulse delivered to (or stranded at) a terminated node.
         """
@@ -304,8 +305,9 @@ class Engine:
         while active_ids:
             if self._steps >= max_steps:
                 raise SimulationLimitExceeded(
-                    f"no quiescence after {self._steps} deliveries "
-                    f"({self.network.pending_messages()} still in flight)",
+                    f"no quiescence after {self._steps} scheduler steps "
+                    f"({self.trace.total_received} pulses delivered, "
+                    f"{self.network.pending_messages()} still in flight)",
                     steps=self._steps,
                 )
             if len(active_ids) == 1:
