@@ -122,8 +122,21 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: Exhaustive-search flags with falsy defaults, so a sampled run can tell
+#: that one was given and refuse it instead of silently ignoring it.
+_EXHAUSTIVE_ONLY = (
+    "fault_drop",
+    "fault_duplicate",
+    "fault_seed",
+    "spill_threshold_mb",
+    "compare_unreduced",
+    "invariants",
+)
+
+
 def run(args: argparse.Namespace) -> int:
     if args.statistical:
+        _reject_ignored_flags(args, "--statistical", _EXHAUSTIVE_ONLY)
         if args.topology is not None:
             return _verify_topology(args)
         if args.algorithm == "anonymous":
@@ -469,7 +482,7 @@ def _reject_ignored_flags(
     given = [f"--{flag.replace('_', '-')}" for flag in flags if getattr(args, flag)]
     if given:
         raise SystemExit(
-            f"verify --statistical {mode} ignores {', '.join(given)}; drop them"
+            f"verify {mode} ignores {', '.join(given)}; drop them"
         )
 
 
@@ -556,7 +569,7 @@ def _verify_ring(args: argparse.Namespace) -> int:
     from repro.verification.statistical import RecoveryCheck, RingCheck
 
     if args.recovery:
-        _reject_ignored_flags(args, "--recovery", ["inject_drop"])
+        _reject_ignored_flags(args, "--statistical --recovery", ["inject_drop"])
     fault = _fault_model_from_args(args)
     if args.inject_drop is not None:
         if len(args.inject_drop) != 3:
@@ -639,7 +652,7 @@ def _verify_topology(args: argparse.Namespace) -> int:
     from repro.exceptions import BridgeWitnessError
     from repro.verification.statistical import TopologyCheck
 
-    _reject_ignored_flags(args, "--topology", _ring_only_flags(args))
+    _reject_ignored_flags(args, "--statistical --topology", _ring_only_flags(args))
     graph = parse_topology(args.topology)
     print(_row("mode", "statistical topology battery (ear election)"))
     print(_row("topology", f"{args.topology} (n={graph.n}, {len(graph.edges)} edges)"))
@@ -675,7 +688,9 @@ def _verify_anonymous(args: argparse.Namespace) -> int:
     """The Lemma 18 w.h.p. predicate over the anonymous pipeline."""
     from repro.verification.statistical import WhpCheck
 
-    _reject_ignored_flags(args, "--algorithm anonymous", _ring_only_flags(args))
+    _reject_ignored_flags(
+        args, "--statistical --algorithm anonymous", _ring_only_flags(args)
+    )
     report = _run_check(
         args, WhpCheck, n=args.n, c=args.c, seed=args.seed, backend=args.backend
     )

@@ -28,16 +28,20 @@ Field roles:
 This module is also the canonical home of the *generic* object
 fingerprinting used by both schedule explorers and the differential
 tests (:func:`freeze_value` / :func:`node_state_dict` /
-:func:`node_fingerprint`, formerly in ``verification/common.py``, which
-still re-exports them).
+:func:`node_fingerprint`), of its canonical byte form (:func:`pack_frozen`),
+and of the per-class fast path (:class:`NodePlan`) through which the
+reduced explorer packs and copies nodes.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
+import functools
+import operator
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Generic object fingerprinting (shared by explorers + differential tests).
@@ -87,6 +91,8 @@ _TAG_ENUM = b"\x09"
 
 def _uvarint(value: int) -> bytes:
     """Unsigned LEB128 — the length/count prefix used throughout."""
+    if value < 0x80:
+        return bytes((value,))
     out = bytearray()
     while True:
         byte = value & 0x7F
@@ -96,6 +102,37 @@ def _uvarint(value: int) -> bytes:
         else:
             out.append(byte)
             return bytes(out)
+
+
+def _pack_int_uncached(value: int) -> bytes:
+    # Zigzag so negatives stay compact: 0,-1,1,-2,... -> 0,1,2,3,...
+    zig = value << 1 if value >= 0 else ((-value) << 1) - 1
+    return _TAG_INT + _uvarint(zig)
+
+
+#: Packed forms of 0..1023, indexed by value: a bounded memo that no bool
+#: reaches, because every caller rules bools out first (``True == 1``, yet
+#: ``True`` must pack as a bool).
+_SMALL_INTS = tuple(_pack_int_uncached(value) for value in range(1024))
+
+
+def pack_int(value: int) -> bytes:
+    """``pack_frozen(value)`` for an int that is not a bool (a channel count)."""
+    if 0 <= value < 1024:
+        return _SMALL_INTS[value]
+    return _pack_int_uncached(value)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _pack_enum(value: enum.Enum) -> bytes:
+    # ``typed`` keeps equal members of distinct IntEnum classes apart.
+    name = f"{type(value).__qualname__}.{value.name}".encode()
+    return _TAG_ENUM + _uvarint(len(name)) + name
+
+
+def _pack_str(value: str) -> bytes:
+    raw = value.encode()
+    return _TAG_STR + _uvarint(len(raw)) + raw
 
 
 def pack_frozen(value: Any) -> bytes:
@@ -112,17 +149,13 @@ def pack_frozen(value: Any) -> bytes:
     if isinstance(value, bool):
         return _TAG_TRUE if value else _TAG_FALSE
     if isinstance(value, enum.Enum):
-        name = f"{type(value).__qualname__}.{value.name}".encode()
-        return _TAG_ENUM + _uvarint(len(name)) + name
+        return _pack_enum(value)
     if isinstance(value, int):
-        # Zigzag so negatives stay compact: 0,-1,1,-2,... -> 0,1,2,3,...
-        zig = value << 1 if value >= 0 else ((-value) << 1) - 1
-        return _TAG_INT + _uvarint(zig)
+        return pack_int(value)
     if isinstance(value, float):
         return _TAG_FLOAT + struct.pack(">d", value)
     if isinstance(value, str):
-        raw = value.encode()
-        return _TAG_STR + _uvarint(len(raw)) + raw
+        return _pack_str(value)
     if isinstance(value, bytes):
         return _TAG_BYTES + _uvarint(len(value)) + value
     if isinstance(value, tuple):
@@ -143,6 +176,17 @@ def packed_fingerprint(value: Any) -> bytes:
     return pack_frozen(freeze_value(value))
 
 
+@functools.lru_cache(maxsize=128)
+def _slot_names(cls: type) -> Tuple[str, ...]:
+    """``cls``'s ``__slots__`` merged across the MRO, first occurrence first."""
+    names: List[str] = []
+    for klass in cls.__mro__:
+        for name in getattr(klass, "__slots__", ()):
+            if name != "__dict__" and name not in names:
+                names.append(name)
+    return tuple(names)
+
+
 def node_state_dict(node: Any) -> Dict[str, Any]:
     """Every attribute of ``node`` as a name → value dict.
 
@@ -152,16 +196,180 @@ def node_state_dict(node: Any) -> Dict[str, Any]:
     baselines, keep one).  Unset slots are skipped.
     """
     state: Dict[str, Any] = {}
-    for klass in type(node).__mro__:
-        for name in getattr(klass, "__slots__", ()):
-            if name == "__dict__" or name in state:
-                continue
-            try:
-                state[name] = getattr(node, name)
-            except AttributeError:
-                continue
+    for name in _slot_names(type(node)):
+        try:
+            state[name] = getattr(node, name)
+        except AttributeError:
+            continue
     state.update(getattr(node, "__dict__", {}))
     return state
+
+
+# -- per-class fast path -------------------------------------------------------
+#
+# The reduced explorer packs and copies one receiver node per executed
+# delivery.  Done generically (``node_state_dict`` -> ``freeze_value`` ->
+# ``pack_frozen``, and ``copy.deepcopy``) that bookkeeping costs more than
+# the search itself.  A :class:`NodePlan` resolves a class's slot layout
+# once and then writes the *same bytes* directly for the common case: a
+# slotted node whose every slot is set and holds a flat value, i.e. a
+# scalar (``None``, ``bool``, ``int``, an ``Enum`` member, ``str``) or a
+# list/tuple of scalars.  Anything else takes the generic path, whole node.
+
+_SCALAR_TYPES = frozenset({int, bool, str, type(None)})
+
+
+def _is_scalar(value: Any) -> bool:
+    return type(value) in _SCALAR_TYPES or isinstance(value, enum.Enum)
+
+
+def _is_flat(value: Any) -> bool:
+    kind = type(value)
+    if kind is list or kind is tuple:
+        return all(_is_scalar(item) for item in value)
+    return _is_scalar(value)
+
+
+def _pack_scalar(value: Any) -> Optional[bytes]:
+    """``pack_frozen(freeze_value(value))`` for a scalar; None otherwise."""
+    kind = type(value)
+    if kind is int:  # exact type: a bool must never reach the int memo
+        return pack_int(value)
+    if kind is bool:
+        return _TAG_TRUE if value else _TAG_FALSE
+    if value is None:
+        return _TAG_NONE
+    if isinstance(value, enum.Enum):
+        return _pack_enum(value)
+    if kind is str:
+        return _pack_str(value)
+    return None
+
+
+def _pack_flat_sequence(value: Any) -> Optional[bytes]:
+    """``pack_frozen(freeze_value(value))`` for a list or tuple of scalars;
+    None for anything else."""
+    kind = type(value)
+    if kind is not list and kind is not tuple:
+        return None
+    parts = [_pack_scalar(item) for item in value]
+    if None in parts:
+        return None
+    return _TAG_TUPLE + _uvarint(len(parts)) + b"".join(parts)
+
+
+def _reader(names: Tuple[str, ...]) -> Callable[[Any], Tuple[Any, ...]]:
+    """Read ``names`` off an object as one tuple (AttributeError if unset)."""
+    if len(names) == 1:
+        read_one = operator.attrgetter(names[0])
+        return lambda obj: (read_one(obj),)
+    return operator.attrgetter(*names)
+
+
+class NodePlan:
+    """How to pack and copy the instances of one node class.
+
+    Built once per class by :func:`node_plan`.  ``slots`` is the walk
+    :func:`node_state_dict` makes.  The plan also holds each field's
+    packed ``(name, value)`` tuple header, in the sorted order
+    :func:`freeze_value` gives a dict's keys, so :meth:`pack` only
+    appends values.  A class qualifies for the fast path (``inline``)
+    when its instances have no ``__dict__`` and it defines no
+    ``__deepcopy__``; each call then still falls back, for that node, on
+    an unset slot or a value that is not flat.
+    """
+
+    __slots__ = (
+        "cls",
+        "slots",
+        "inline",
+        "_read_slots",
+        "_read_fields",
+        "_header",
+        "_prefixes",
+    )
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+        self.slots = _slot_names(cls)
+        fields = tuple(sorted(self.slots))
+        self.inline = (
+            bool(fields)
+            and cls.__dictoffset__ == 0
+            and not hasattr(cls, "__deepcopy__")
+        )
+        if self.inline:
+            self._read_slots = _reader(self.slots)
+            self._read_fields = _reader(fields)
+        self._header = _TAG_TUPLE + _uvarint(len(fields))
+        self._prefixes = tuple(
+            _TAG_TUPLE + _uvarint(2) + _pack_str(name) for name in fields
+        )
+
+    def pack(self, node: Any) -> bytes:
+        """Exactly ``pack_frozen(freeze_value(node_state_dict(node)))``."""
+        packed = self._pack_flat_node(node) if self.inline else None
+        if packed is None:
+            packed = pack_frozen(freeze_value(node_state_dict(node)))
+        return packed
+
+    def copy(self, node: Any) -> Any:
+        """A private copy of ``node``: equal state, no shared mutable object.
+
+        A flat node is rebuilt slot by slot (lists copied, everything else
+        immutable and shared); any other node is ``copy.deepcopy``-ed.
+        Unlike ``deepcopy``, the slot copy does not keep two slots of one
+        node aliased to a single list.
+        """
+        twin = self._copy_flat_node(node) if self.inline else None
+        if twin is None:
+            twin = copy.deepcopy(node)
+        return twin
+
+    def _pack_flat_node(self, node: Any) -> Optional[bytes]:
+        try:
+            values = self._read_fields(node)
+        except AttributeError:  # an unset slot changes the field count
+            return None
+        parts = [self._header]
+        for prefix, value in zip(self._prefixes, values):
+            packed = _pack_scalar(value) or _pack_flat_sequence(value)
+            if packed is None:
+                return None
+            parts.append(prefix)
+            parts.append(packed)
+        return b"".join(parts)
+
+    def _copy_flat_node(self, node: Any) -> Any:
+        try:
+            values = self._read_slots(node)
+        except AttributeError:
+            return None
+        twin = self.cls.__new__(self.cls)
+        for name, value in zip(self.slots, values):
+            if type(value) not in _SCALAR_TYPES:  # the common case first
+                if not _is_flat(value):
+                    return None
+                if type(value) is list:
+                    value = list(value)
+            setattr(twin, name, value)
+        return twin
+
+
+@functools.lru_cache(maxsize=128)
+def node_plan(cls: type) -> NodePlan:
+    """The (cached) :class:`NodePlan` of node class ``cls``."""
+    return NodePlan(cls)
+
+
+def pack_node(node: Any) -> bytes:
+    """``pack_frozen(freeze_value(node_state_dict(node)))``, via its plan."""
+    return node_plan(type(node)).pack(node)
+
+
+def copy_node(node: Any) -> Any:
+    """A private copy of ``node`` (see :meth:`NodePlan.copy`)."""
+    return node_plan(type(node)).copy(node)
 
 
 def node_fingerprint(nodes: Iterable[Any]) -> Tuple[Any, ...]:

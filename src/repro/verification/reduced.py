@@ -73,7 +73,6 @@ mode and the live engine to identical terminal verdicts.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -81,10 +80,12 @@ from repro.exceptions import ConfigurationError, ProtocolViolation
 from repro.simulator.network import Network
 from repro.simulator.node import NodeAPI, check_port
 from repro.core.schema import (
+    copy_node,
     freeze_value,
     node_fingerprint,
-    node_state_dict,
     pack_frozen,
+    pack_int,
+    pack_node,
 )
 from repro.faults.profile import build_fault_profile
 from repro.verification.common import (
@@ -165,17 +166,13 @@ class _Static:
         self.fault_profile = build_fault_profile(network)
 
 
-def _pack_node(node: Any) -> bytes:
-    """One node's packed key component: a pure function of its state."""
-    return pack_frozen(freeze_value(node_state_dict(node)))
-
-
 class _RState:
     """One explored global state in counting representation.
 
     Successors are copy-on-write.  :meth:`clone` copies the node *list*
     and shares the node objects with the parent; :func:`_deliver` then
-    replaces the receiver with a deep copy before it runs, because the
+    replaces the receiver with a private copy
+    (:func:`~repro.core.schema.copy_node`) before it runs, because the
     receiver is the only node a delivery can mutate (its sends touch the
     sender — the receiver — and the queues; ``terminate`` touches the
     receiver).  A node object is therefore never written once a second
@@ -186,10 +183,11 @@ class _RState:
     delivery.
 
     ``node_packed`` holds the per-node packed key components
-    (:func:`_pack_node`), packed in full at the root and otherwise
-    inherited from the parent, with only the receiver's repacked after
-    its delivery.  Each component depends on its node alone, so every
-    key is byte-identical to packing the whole state afresh.
+    (:func:`~repro.core.schema.pack_node`), packed in full at the root
+    and otherwise inherited from the parent, with only the receiver's
+    repacked after its delivery.  Each component depends on its node
+    alone, so every key is byte-identical to packing the whole state
+    afresh.
     """
 
     __slots__ = ("nodes", "queues", "fault_idx", "total_sent", "node_packed")
@@ -237,13 +235,11 @@ class _RState:
         key (which permutes the components before joining).
         """
         if not self.node_packed:
-            self.node_packed = [_pack_node(node) for node in self.nodes]
+            self.node_packed = [pack_node(node) for node in self.nodes]
         queue_packed = [
-            pack_frozen(
-                queue
-                if isinstance(queue, int)
-                else tuple(freeze_value(item) for item in queue)
-            )
+            pack_int(queue)
+            if isinstance(queue, int)
+            else pack_frozen(tuple(freeze_value(item) for item in queue))
             for queue in self.queues
         ]
         return self.node_packed, queue_packed
@@ -303,14 +299,14 @@ def _deliver(static: _Static, state: _RState, channel_id: int) -> bool:
     if receiver.terminated:
         return True
     # Copy-on-write: the receiver is shared with the parent until now.
-    receiver = copy.deepcopy(receiver)
+    receiver = copy_node(receiver)
     state.nodes[receiver_index] = receiver
     receiver.on_message(
         _ReducedAPI(static, state, receiver_index),
         static.dst_port[channel_id],
         content,
     )
-    state.node_packed[receiver_index] = _pack_node(receiver)
+    state.node_packed[receiver_index] = pack_node(receiver)
     return False
 
 

@@ -172,6 +172,30 @@ class TestVerifyStatistical:
                 "--recovery", "--inject-drop-rate", "0.5",
             ])
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--fault-drop", "0.5"],
+            ["--fault-duplicate", "0.1"],
+            ["--fault-seed", "3"],
+            ["--spill-threshold-mb", "1"],
+            ["--compare-unreduced"],
+            ["--invariants"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    @pytest.mark.parametrize(
+        "mode",
+        [[], ["--topology", "theta:1,1,1"], ["--algorithm", "anonymous"]],
+        ids=["ring", "topology", "anonymous"],
+    )
+    def test_statistical_rejects_exhaustive_only_flags(self, mode, flag):
+        with pytest.raises(SystemExit, match=f"--statistical ignores {flag[0]};"):
+            main([
+                "verify", "--statistical", *mode, "--samples", "16", "--n", "4",
+                "--id-max", "20", *flag,
+            ])
+
     def test_recovery_rejects_inject_drop(self):
         with pytest.raises(SystemExit, match="ignores --inject-drop"):
             main([
