@@ -47,7 +47,7 @@ def census(node_cls, plan_factory, check):
     return damaged, livelocked, faultless
 
 
-def test_pulse_loss_census(report, benchmark):
+def test_pulse_loss_census(report):
     rows = []
     for rate in (0.05, 0.15, 0.35):
         damaged, livelocked, faultless = census(
@@ -68,14 +68,9 @@ def test_pulse_loss_census(report, benchmark):
     )
     # At the heaviest rate, damage must be the norm.
     assert rows[-1][2] + rows[-1][3] > TRIALS // 2
-    benchmark.pedantic(
-        lambda: faulty_run(TerminatingNode, FaultModel(drop_rate=0.35, seed=1)),
-        rounds=3,
-        iterations=1,
-    )
 
 
-def test_pulse_injection_census(report, benchmark):
+def test_pulse_injection_census(report):
     rows = []
     for rate in (0.05, 0.15, 0.35):
         damaged, livelocked, faultless = census(
@@ -92,18 +87,9 @@ def test_pulse_injection_census(report, benchmark):
         ["dup rate", "trials", "damaged", "livelocked", "fault-free"], rows
     )
     assert rows[-1][2] + rows[-1][3] > 0
-    benchmark.pedantic(
-        lambda: census(
-            WarmupNode,
-            lambda seed: FaultModel(duplicate_rate=0.05, seed=seed),
-            lambda nodes, result: False,
-        ),
-        rounds=1,
-        iterations=1,
-    )
 
 
-def test_control_arm_is_clean(report, benchmark):
+def test_control_arm_is_clean(report):
     """Without faults the same instances meet every guarantee (control)."""
     nodes = [TerminatingNode(node_id) for node_id in IDS]
     topology = build_oriented_ring(nodes)
@@ -113,11 +99,4 @@ def test_control_arm_is_clean(report, benchmark):
     report.line(
         "E9 control: identical rings with model-conforming channels meet "
         f"Theorem 1 exactly ({result.total_sent} pulses, quiescent, leader last)"
-    )
-    benchmark.pedantic(
-        lambda: Engine(
-            build_oriented_ring([TerminatingNode(i) for i in IDS]).network
-        ).run(),
-        rounds=3,
-        iterations=1,
     )

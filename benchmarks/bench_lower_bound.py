@@ -27,7 +27,7 @@ def factory(node_id: int) -> TerminatingNode:
     return TerminatingNode(node_id)
 
 
-def test_lemma22_pattern_uniqueness(report, benchmark):
+def test_lemma22_pattern_uniqueness(report):
     universe = range(1, 129)
     patterns = solitude_patterns(factory, universe)
     collision = find_pattern_collision(patterns)
@@ -37,12 +37,9 @@ def test_lemma22_pattern_uniqueness(report, benchmark):
         f"Lemma 22: {len(patterns)} solitude patterns, all distinct; "
         f"lengths 2*ID+1 in [{lengths[0]}, {lengths[-1]}]"
     )
-    benchmark.pedantic(
-        lambda: solitude_patterns(factory, range(1, 33)), rounds=3, iterations=1
-    )
 
 
-def test_theorem20_adversarial_assignment(report, benchmark):
+def test_theorem20_adversarial_assignment(report):
     rows = []
     for k, n in ((32, 2), (64, 4), (128, 8), (256, 4)):
         patterns = solitude_patterns(factory, range(1, k + 1))
@@ -68,16 +65,9 @@ def test_theorem20_adversarial_assignment(report, benchmark):
         ["k (IDs)", "n", "prefix len", "chosen IDs", "lower bound", "measured", "holds"],
         rows,
     )
-    benchmark.pedantic(
-        lambda: find_common_prefix_group(
-            solitude_patterns(factory, range(1, 65)), 4
-        ),
-        rounds=3,
-        iterations=1,
-    )
 
 
-def test_bound_gap_curve(report, benchmark):
+def test_bound_gap_curve(report):
     """The open gap: upper/lower ratio grows ~ IDmax/log(IDmax)."""
     n = 4
     rows = []
@@ -91,14 +81,9 @@ def test_bound_gap_curve(report, benchmark):
         "the paper leaves open"
     )
     report.table(["n", "IDmax", "lower", "upper", "ratio"], rows)
-    benchmark.pedantic(
-        lambda: [lower_bound_pulses(4, 4 * 2**e) for e in range(3, 15)],
-        rounds=5,
-        iterations=10,
-    )
 
 
-def test_unbounded_messages_even_for_tiny_rings(report, benchmark):
+def test_unbounded_messages_even_for_tiny_rings(report):
     """Thm 20's corollary: even n=1 costs grow without bound in the ID space."""
     rows = []
     for node_id in (1, 10, 100, 1000, 10000):
@@ -107,4 +92,3 @@ def test_unbounded_messages_even_for_tiny_rings(report, benchmark):
         assert outcome.total_pulses == 2 * node_id + 1
     report.line("n = 1: pulses grow without bound as the assignable ID grows")
     report.table(["ID", "lower bound", "measured (=2*ID+1)"], rows)
-    benchmark.pedantic(lambda: run_terminating([10000]), rounds=3, iterations=1)

@@ -24,7 +24,7 @@ from repro.simulator.ring import build_nonoriented_ring, build_oriented_ring
 from repro.verification import explore_all_schedules
 
 
-def test_exhaustive_certificates(report, benchmark):
+def test_exhaustive_certificates(report):
     rows = []
     cases = [
         ("alg1", WarmupNode, [2, 3, 1]),
@@ -57,16 +57,9 @@ def test_exhaustive_certificates(report, benchmark):
         ["algorithm", "ids", "states", "transitions", "terminals", "violations", "confluent"],
         rows,
     )
-    benchmark.pedantic(
-        lambda: explore_all_schedules(
-            lambda: build_oriented_ring([TerminatingNode(i) for i in [2, 3, 1]]).network
-        ),
-        rounds=3,
-        iterations=1,
-    )
 
 
-def test_exhaustive_nonoriented(report, benchmark):
+def test_exhaustive_nonoriented(report):
     rows = []
     for flips in ([False, False], [True, False], [False, True], [True, True]):
         def factory(flips=flips):
@@ -81,18 +74,9 @@ def test_exhaustive_nonoriented(report, benchmark):
         assert result.confluent
     report.line("E8b: Algorithm 3 on the 2-ring — all schedules x all port flips")
     report.table(["flips", "states", "transitions", "confluent"], rows)
-    benchmark.pedantic(
-        lambda: explore_all_schedules(
-            lambda: build_nonoriented_ring(
-                [NonOrientedNode(i) for i in (1, 2)], flips=[True, False]
-            ).network
-        ),
-        rounds=3,
-        iterations=1,
-    )
 
 
-def test_model_checker_finds_a1_bug_automatically(report, benchmark):
+def test_model_checker_finds_a1_bug_automatically(report):
     """The ablated algorithm's bad schedules, found with zero hand-tuning."""
 
     def ablated_factory():
@@ -113,7 +97,4 @@ def test_model_checker_finds_a1_bug_automatically(report, benchmark):
         f"{result.quiescence_violations} violating transitions, "
         f"{len(bad_terminals)} terminals without a unique leader "
         "(the unablated instance has 1 terminal, 0, 0)"
-    )
-    benchmark.pedantic(
-        lambda: explore_all_schedules(ablated_factory), rounds=3, iterations=1
     )

@@ -20,7 +20,7 @@ from repro.core.terminating import run_terminating
 from repro.synchronous import run_time_coded_election
 
 
-def test_message_and_round_tradeoff(report, benchmark):
+def test_message_and_round_tradeoff(report):
     rows = []
     rng = random.Random(9)
     for n in (2, 4, 8, 16, 32):
@@ -47,11 +47,9 @@ def test_message_and_round_tradeoff(report, benchmark):
         ["n", "IDmax", "IDmin", "sync msgs", "sync rounds", "oblivious pulses"],
         rows,
     )
-    ids = rng.sample(range(1, 100), 16)
-    benchmark.pedantic(lambda: run_time_coded_election(ids), rounds=3, iterations=1)
 
 
-def test_sync_messages_flat_in_id_magnitude(report, benchmark):
+def test_sync_messages_flat_in_id_magnitude(report):
     """Scaling IDs 100x leaves the synchronous count at n — but multiplies
     its ROUND cost; the oblivious pulse count scales with IDmax instead."""
     n = 8
@@ -67,9 +65,4 @@ def test_sync_messages_flat_in_id_magnitude(report, benchmark):
     report.line("E10b: ID magnitude sweep at n=8 — where each model pays")
     report.table(
         ["ID scale", "sync msgs", "sync rounds", "oblivious pulses"], rows
-    )
-    benchmark.pedantic(
-        lambda: run_time_coded_election([10 * k for k in range(1, 9)]),
-        rounds=3,
-        iterations=1,
     )

@@ -4,9 +4,6 @@ Regenerates the paper's headline claim as a table: for every workload the
 measured pulse count must equal ``n(2*IDmax + 1)`` **exactly**, the
 maximal-ID node must win, and termination must be quiescent with the
 leader last — under several adversarial schedulers.
-
-Timings (pytest-benchmark) additionally characterize the simulator's
-throughput on this algorithm.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ def sparse_ids(n: int, spread: int, seed: int = 2) -> list:
     return rng.sample(range(1, spread + 1), n)
 
 
-def test_theorem1_exactness_table(report, benchmark):
+def test_theorem1_exactness_table(report):
     """The E1 table: claimed vs measured pulses across n and ID shapes."""
     rows = []
     for n in (1, 2, 4, 8, 16, 32, 64):
@@ -74,12 +71,9 @@ def test_theorem1_exactness_table(report, benchmark):
         ["n", "ids", "IDmax", "claimed", "measured", "exact", "max wins", "q-term"],
         rows,
     )
-    benchmark.pedantic(
-        lambda: run_terminating(dense_ids(32)), rounds=3, iterations=1
-    )
 
 
-def test_theorem1_schedule_invariance(report, benchmark):
+def test_theorem1_schedule_invariance(report):
     """Pulse count and winner are identical under every adversary."""
     ids = sparse_ids(12, spread=300, seed=5)
     rows = []
@@ -97,22 +91,16 @@ def test_theorem1_schedule_invariance(report, benchmark):
     assert len({row[2] for row in rows}) == 1
     report.line(f"Theorem 1 under adversarial schedules (ids={ids})")
     report.table(["scheduler", "pulses", "winner id", "leader last"], rows)
-    benchmark.pedantic(
-        lambda: run_terminating(ids, scheduler=RandomScheduler(seed=0)),
-        rounds=3,
-        iterations=1,
-    )
 
 
 @pytest.mark.parametrize("n", [8, 32, 128])
-def test_theorem1_scaling_throughput(benchmark, n):
-    """Simulator throughput as rings grow (IDmax pinned to 4n)."""
+def test_theorem1_scaling_throughput(n):
+    """The exact count holds as rings grow (IDmax pinned to 4n)."""
     ids = sparse_ids(n, spread=4 * n, seed=n)
-    result = benchmark.pedantic(lambda: run_terminating(ids), rounds=3, iterations=1)
-    assert result.total_pulses == n * (2 * max(ids) + 1)
+    assert run_terminating(ids).total_pulses == n * (2 * max(ids) + 1)
 
 
-def test_theorem1_idmax_dominates_cost(report, benchmark):
+def test_theorem1_idmax_dominates_cost(report):
     """Cost grows linearly in IDmax at fixed n — the term Theorem 4 proves inherent."""
     n = 8
     rows = []
@@ -123,6 +111,3 @@ def test_theorem1_idmax_dominates_cost(report, benchmark):
         assert outcome.total_pulses == n * (2 * id_max + 1)
     report.line("Cost vs IDmax at fixed n=8 (linear in IDmax, slope 2n)")
     report.table(["n", "IDmax", "pulses", "pulses/IDmax"], rows)
-    benchmark.pedantic(
-        lambda: run_terminating(list(range(1, 8)) + [2048]), rounds=3, iterations=1
-    )

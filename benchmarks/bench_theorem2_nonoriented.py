@@ -26,7 +26,7 @@ def workload(n: int, seed: int = 3):
     return ids, flips
 
 
-def test_theorem2_and_prop15_exactness(report, benchmark):
+def test_theorem2_and_prop15_exactness(report):
     rows = []
     for n in (1, 2, 4, 8, 16, 32):
         ids, flips = workload(n)
@@ -55,13 +55,9 @@ def test_theorem2_and_prop15_exactness(report, benchmark):
         ["n", "IDmax", "scheme", "claimed", "measured", "exact", "1 leader", "oriented"],
         rows,
     )
-    ids, flips = workload(16)
-    benchmark.pedantic(
-        lambda: run_nonoriented(ids, flips=flips), rounds=3, iterations=1
-    )
 
 
-def test_a2_scheme_saving_ablation(report, benchmark):
+def test_a2_scheme_saving_ablation(report):
     """A2: the Theorem-2 ID choice halves Proposition 15's pulse count."""
     rows = []
     for n in (4, 8, 16, 32):
@@ -75,15 +71,9 @@ def test_a2_scheme_saving_ablation(report, benchmark):
         assert 1.8 < ratio < 2.0
     report.line("A2 ablation: doubled vs successor virtual IDs (ratio -> 2)")
     report.table(["n", "IDmax", "doubled", "successor", "ratio"], rows)
-    ids, flips = workload(16, seed=16)
-    benchmark.pedantic(
-        lambda: run_nonoriented(ids, flips=flips, scheme=IdScheme.DOUBLED),
-        rounds=3,
-        iterations=1,
-    )
 
 
-def test_f1_orientation_repair_over_flip_space(report, benchmark):
+def test_f1_orientation_repair_over_flip_space(report):
     """F1 (Figure 1): every flip pattern of a 6-ring gets repaired."""
     from repro.simulator.ring import all_flip_patterns
 
@@ -98,9 +88,4 @@ def test_f1_orientation_repair_over_flip_space(report, benchmark):
     report.line(
         f"Figure 1 scenario: {consistent}/{len(patterns)} port assignments of a "
         "6-ring repaired to a consistent orientation (exhaustive)"
-    )
-    benchmark.pedantic(
-        lambda: run_nonoriented(ids, flips=[True, False] * 3),
-        rounds=3,
-        iterations=1,
     )

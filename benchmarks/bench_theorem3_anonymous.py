@@ -18,33 +18,31 @@ from __future__ import annotations
 import random
 import statistics
 
-from repro.core.anonymous import run_anonymous
 from repro.ids.sampling import GeometricIdSampler, max_is_unique, predicted_max_bits
+from repro.simulator.fleet import run_anonymous_fleet
 
 
 def presample(n: int, c: float, seed: int):
     return GeometricIdSampler(c=c).sample_many(n, random.Random(seed))
 
 
-def test_pipeline_success_rate_vs_n(report, benchmark):
+def test_pipeline_success_rate_vs_n(report):
+    """The screened seeds run as one fleet; ``run_anonymous_fleet``'s
+    per-seed outcomes are ``run_anonymous``'s."""
     c, cap, per_n = 1.5, 4000, 50
     rows = []
     for n in (4, 8, 16):
         seeds = [s for s in range(400) if max(presample(n, c, s)) <= cap][:per_n]
-        wins = sum(1 for s in seeds if run_anonymous(n, c=c, seed=s).succeeded)
+        wins = sum(run_anonymous_fleet(n, seeds, c=c).succeeded)
         rows.append((n, c, len(seeds), wins, f"{wins/len(seeds):.2f}"))
         assert wins / len(seeds) > 0.6
     report.line(
         f"Theorem 3: anonymous election success rate (IDmax screened to <= {cap})"
     )
     report.table(["n", "c", "trials", "successes", "rate"], rows)
-    seed = next(s for s in range(400) if max(presample(8, c, s)) <= cap)
-    benchmark.pedantic(
-        lambda: run_anonymous(8, c=c, seed=seed), rounds=3, iterations=1
-    )
 
 
-def test_lemma18_max_uniqueness_rates(report, benchmark):
+def test_lemma18_max_uniqueness_rates(report):
     trials = 600
     rows = []
     for c in (0.5, 1.0, 2.0, 4.0):
@@ -57,12 +55,9 @@ def test_lemma18_max_uniqueness_rates(report, benchmark):
             rows.append((n, c, trials, f"{wins/trials:.3f}"))
     report.line("Lemma 18: P[max sampled ID unique] (sampling only, no election)")
     report.table(["n", "c", "trials", "uniqueness rate"], rows)
-    benchmark.pedantic(
-        lambda: [presample(64, 2.0, s) for s in range(50)], rounds=3, iterations=1
-    )
 
 
-def test_lemma18_max_id_magnitude_series(report, benchmark):
+def test_lemma18_max_id_magnitude_series(report):
     c, trials = 2.0, 120
     rows = []
     for n in (8, 32, 128, 512):
@@ -82,12 +77,9 @@ def test_lemma18_max_id_magnitude_series(report, benchmark):
         "(median tracks log_{1/p}(n) => IDmax = n^Theta(c))"
     )
     report.table(["n", "median bits", "predicted bits", "worst bits"], rows)
-    benchmark.pedantic(
-        lambda: [presample(128, c, s) for s in range(30)], rounds=3, iterations=1
-    )
 
 
-def test_prop19_distinctness_rate(report, benchmark):
+def test_prop19_distinctness_rate(report):
     from repro.core.anonymous import run_prop19
 
     c = 3.0
@@ -104,6 +96,3 @@ def test_prop19_distinctness_rate(report, benchmark):
         f"runs (n=5, c={c}, IDmax in [2000, 60000])"
     )
     assert wins / len(usable) > 0.5
-    benchmark.pedantic(
-        lambda: run_prop19(5, c=c, seed=usable[0]), rounds=3, iterations=1
-    )

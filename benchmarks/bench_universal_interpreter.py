@@ -23,7 +23,7 @@ from repro.defective.ring_algorithms import (
 from repro.defective.universal import simulate_ring_algorithm
 
 
-def test_chang_roberts_over_pulses(report, benchmark):
+def test_chang_roberts_over_pulses(report):
     rows = []
     for n in (3, 4, 6, 8):
         ids = random.Random(n).sample(range(1, 12), n)
@@ -52,15 +52,9 @@ def test_chang_roberts_over_pulses(report, benchmark):
          "native msgs", "pulses", "token hops"],
         rows,
     )
-    ids = random.Random(4).sample(range(1, 12), 4)
-    benchmark.pedantic(
-        lambda: simulate_ring_algorithm([SimChangRoberts(i) for i in ids]),
-        rounds=3,
-        iterations=1,
-    )
 
 
-def test_rootless_end_to_end(report, benchmark):
+def test_rootless_end_to_end(report):
     """Theorem 1 election composed with the universal interpreter."""
     rows = []
     for n in (3, 4, 6):
@@ -79,17 +73,9 @@ def test_rootless_end_to_end(report, benchmark):
         "simulate an arbitrary convergecast; quiescent, leader last"
     )
     report.table(["n", "IDmax", "sum computed", "total pulses", "leader last"], rows)
-    ids = random.Random(53).sample(range(1, 10), 3)
-    benchmark.pedantic(
-        lambda: run_simulated_composed(
-            ids, [SimConvergecastSum(v) for v in (1, 2, 3)]
-        ),
-        rounds=3,
-        iterations=1,
-    )
 
 
-def test_simulation_overhead_profile(report, benchmark):
+def test_simulation_overhead_profile(report):
     """Pulse cost vs payload magnitude: the unary rate, quantified."""
     rows = []
     for value in (1, 4, 16, 64):
@@ -100,10 +86,3 @@ def test_simulation_overhead_profile(report, benchmark):
         rows.append((4, value, outcome.total_pulses, outcome.token_hops))
     report.line("E11c: universal-interpreter pulse cost vs broadcast payload")
     report.table(["n", "payload", "pulses", "token hops"], rows)
-    benchmark.pedantic(
-        lambda: simulate_ring_algorithm(
-            [SimBroadcast(16)] + [SimBroadcast() for _ in range(3)]
-        ),
-        rounds=3,
-        iterations=1,
-    )

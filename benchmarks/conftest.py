@@ -1,22 +1,20 @@
-"""Shared reporting machinery for the experiment benchmarks.
+"""Shared reporting machinery for the experiment tests.
 
-Every benchmark regenerates one experiment from DESIGN.md's index (the
-paper has no empirical tables, so the "tables" are its theorems' claimed
-quantities) and emits a human-readable table: paper-claimed value next to
-the measured one.  Tables are accumulated here and printed in the
-terminal summary so they survive pytest's output capture; they are also
-written to ``benchmarks/results/`` for the record.
+Every ``bench_*.py`` file regenerates experiments from DESIGN.md's index
+(the paper has no empirical tables, so the "tables" are its theorems'
+claimed quantities) and emits a human-readable table: paper-claimed value
+next to the measured one.  Tables are accumulated here and printed in the
+terminal summary so they survive pytest's output capture; nothing is
+written to disk.
 """
 
 from __future__ import annotations
 
-import pathlib
 from typing import List, Sequence, Tuple
 
 import pytest
 
 _SECTIONS: List[Tuple[str, List[str]]] = []
-_RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 class ExperimentReport:
@@ -56,14 +54,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _SECTIONS:
         return
     terminalreporter.section("experiment reproduction tables")
-    _RESULTS_DIR.mkdir(exist_ok=True)
-    dump = []
     for title, lines in _SECTIONS:
         terminalreporter.write_line("")
         terminalreporter.write_line(f"== {title}")
-        dump.append(f"== {title}")
         for line in lines:
             terminalreporter.write_line(line)
-            dump.append(line)
-        dump.append("")
-    (_RESULTS_DIR / "experiment_tables.txt").write_text("\n".join(dump) + "\n")

@@ -35,18 +35,6 @@ HAVE_NUMPY: bool = np is not None
 BACKEND_CHOICES: Tuple[str, ...] = ("auto", "numpy", "python")
 
 
-def require_numpy(feature: str) -> Any:
-    """Return the NumPy module or raise a uniform configuration error."""
-    if np is None:
-        from repro.exceptions import ConfigurationError
-
-        raise ConfigurationError(
-            f"{feature} requires numpy; install the [perf] extra "
-            "or select the pure-Python backend"
-        )
-    return np
-
-
 def resolve_backend(backend: str = "auto") -> str:
     """Resolve a backend request to a concrete tier name.
 
