@@ -17,6 +17,14 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="pre-set root when --ids is omitted")
 
 
+#: mode label -> the dests its path reads.
+MODES = {"--ids": {"ids", "inputs", "op"}, "": {"inputs", "op", "leader"}}
+
+
+def mode(args: argparse.Namespace) -> str:
+    return "--ids" if args.ids is not None else ""
+
+
 def run(args: argparse.Namespace) -> int:
     if args.ids is not None:
         from repro.core.composition import run_composed

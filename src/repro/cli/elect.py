@@ -31,6 +31,20 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "bridge are refused with the bridge as witness")
 
 
+#: mode label -> the dests its path reads.
+MODES = {
+    "--topology": {"topology", "ids", "scheduler"},
+    "--setting oriented": {"setting", "ids", "scheduler"},
+    "--setting nonoriented": {"setting", "ids", "flips", "scheduler"},
+    "--setting anonymous": {"setting", "n", "c", "seed", "scheduler"},
+}
+
+
+def mode(args: argparse.Namespace) -> str:
+    """The MODES label of ``args``: ``--topology`` wins over ``--setting``."""
+    return "--topology" if args.topology is not None else f"--setting {args.setting}"
+
+
 def _scheduler(name: Optional[str]) -> Optional[Scheduler]:
     if name is None:
         return None

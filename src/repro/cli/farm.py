@@ -97,6 +97,28 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     add_options(fgc, "--root")
 
 
+_SUBMIT = {"root", "workload", "total", "shard_size", "backend", "block_size",
+           "processes", "min_hit_rate"}
+_SEEDS = {"id_max", "seed", "sched_seed", "scheduler"}
+_SAMPLED = _SUBMIT | _SEEDS | {"algorithm", "n"}
+
+#: mode label -> the dests its path reads (other sub-verbs have one path).
+MODES = {
+    "submit --workload recovery": _SAMPLED
+    | {"drop_rate", "duplicate_rate", "spurious_rate", "fault_seed"},
+    "submit --workload degradation": _SAMPLED | {"kind", "rates", "fault_seed"},
+    "submit --workload whp": _SUBMIT | {"n", "c", "seed"},
+    "submit --workload placements": _SUBMIT | {"n", "seed"},
+    "submit --workload ear": _SUBMIT | _SEEDS | {"topology"},
+    "submit --workload adversary": _SAMPLED | {"plan"},
+}
+
+
+def mode(args: argparse.Namespace) -> Optional[str]:
+    submit = args.farm_command == "submit"
+    return f"submit --workload {args.workload}" if submit else None
+
+
 def run(args: argparse.Namespace) -> int:
     return {"submit": _submit, "status": _status, "collect": _collect, "gc": _gc}[
         args.farm_command

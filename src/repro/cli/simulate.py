@@ -18,6 +18,18 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="per-node inputs for sum")
 
 
+#: mode label -> the dests its path reads.
+MODES = {
+    "--algorithm chang_roberts": {"ids", "algorithm"},
+    "--algorithm broadcast": {"ids", "algorithm", "value"},
+    "--algorithm sum": {"ids", "algorithm", "inputs"},
+}
+
+
+def mode(args: argparse.Namespace) -> str:
+    return f"--algorithm {args.algorithm}"
+
+
 def run(args: argparse.Namespace) -> int:
     from repro.core.composition import run_simulated_composed
     from repro.defective.ring_algorithms import (

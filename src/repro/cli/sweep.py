@@ -42,6 +42,19 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     add_options(parser, "--farm")
 
 
+_SWEEP = {"workload", "n", "trials", "seed", "processes", "fleet", "backend", "farm"}
+
+#: mode label -> the dests its path reads.
+MODES = {
+    "--workload placements": _SWEEP,
+    "--workload whp": _SWEEP | {"c", "min_rate", "lemma18"},
+}
+
+
+def mode(args: argparse.Namespace) -> str:
+    return f"--workload {args.workload}"
+
+
 def run(args: argparse.Namespace) -> int:
     from repro.analysis.average_case import measure_oblivious_over_placements
     from repro.analysis.whp import measure_anonymous_success

@@ -122,21 +122,49 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-#: Exhaustive-search flags with falsy defaults, so a sampled run can tell
-#: that one was given and refuse it instead of silently ignoring it.
-_EXHAUSTIVE_ONLY = (
-    "fault_drop",
-    "fault_duplicate",
-    "fault_seed",
-    "spill_threshold_mb",
-    "compare_unreduced",
-    "invariants",
-)
+_EXPLORE = {
+    "ids", "algorithm", "reduction", "spill_threshold_mb", "compare_unreduced",
+    "invariants", "fault_drop", "fault_duplicate", "fault_seed", "max_states",
+}
+_SAMPLED = {
+    "statistical", "samples", "seed", "backend", "block_size", "confidence",
+    "processes",
+}
+_FLEET = _SAMPLED | {"id_max", "scheduler", "sched_seed"}
+_RING = _FLEET | {
+    "algorithm", "n", "inject_drop_rate", "inject_duplicate_rate",
+    "inject_spurious_rate", "inject_burst", "inject_crash", "inject_corrupt",
+    "inject_seed", "watchdog",
+}
+
+#: mode label -> the dests its path reads.
+MODES = {
+    "": _EXPLORE,
+    "--algorithm nonoriented": _EXPLORE | {"flips"},
+    "--topology": _EXPLORE - {"algorithm"} | {"topology"},
+    "--statistical": _RING | {"inject_drop"},
+    "--statistical --recovery": _RING | {"recovery"},
+    "--statistical --topology": _FLEET | {"topology"},
+    "--statistical --algorithm anonymous": _SAMPLED | {"algorithm", "n", "c"},
+}
+
+
+def mode(args: argparse.Namespace) -> str:
+    """The MODES label of ``args``, in :func:`run`'s precedence: ``--topology``
+    wins over ``--algorithm anonymous``, which wins over ``--recovery``."""
+    if args.statistical:
+        if args.topology is not None:
+            return "--statistical --topology"
+        if args.algorithm == "anonymous":
+            return "--statistical --algorithm anonymous"
+        return "--statistical --recovery" if args.recovery else "--statistical"
+    if args.topology is not None:
+        return "--topology"
+    return "--algorithm nonoriented" if args.algorithm == "nonoriented" else ""
 
 
 def run(args: argparse.Namespace) -> int:
     if args.statistical:
-        _reject_ignored_flags(args, "--statistical", _EXHAUSTIVE_ONLY)
         if args.topology is not None:
             return _verify_topology(args)
         if args.algorithm == "anonymous":
@@ -476,25 +504,6 @@ def _fault_model_from_args(args: argparse.Namespace):
     return None if model.is_noop else model
 
 
-def _reject_ignored_flags(
-    args: argparse.Namespace, mode: str, flags: Sequence[str]
-) -> None:
-    given = [f"--{flag.replace('_', '-')}" for flag in flags if getattr(args, flag)]
-    if given:
-        raise SystemExit(
-            f"verify {mode} ignores {', '.join(given)}; drop them"
-        )
-
-
-def _ring_only_flags(args: argparse.Namespace) -> List[str]:
-    """The fault and recovery flags, which only the ring checks read."""
-    return [
-        dest
-        for dest in vars(args)
-        if dest.startswith("inject_") or dest in ("recovery", "watchdog")
-    ]
-
-
 def _row(label: str, value: object) -> str:
     return f"{label:<21}: {value}"
 
@@ -568,8 +577,6 @@ def _verify_ring(args: argparse.Namespace) -> int:
     from repro.faults.model import PulseDrop
     from repro.verification.statistical import RecoveryCheck, RingCheck
 
-    if args.recovery:
-        _reject_ignored_flags(args, "--statistical --recovery", ["inject_drop"])
     fault = _fault_model_from_args(args)
     if args.inject_drop is not None:
         if len(args.inject_drop) != 3:
@@ -652,7 +659,6 @@ def _verify_topology(args: argparse.Namespace) -> int:
     from repro.exceptions import BridgeWitnessError
     from repro.verification.statistical import TopologyCheck
 
-    _reject_ignored_flags(args, "--statistical --topology", _ring_only_flags(args))
     graph = parse_topology(args.topology)
     print(_row("mode", "statistical topology battery (ear election)"))
     print(_row("topology", f"{args.topology} (n={graph.n}, {len(graph.edges)} edges)"))
@@ -688,9 +694,6 @@ def _verify_anonymous(args: argparse.Namespace) -> int:
     """The Lemma 18 w.h.p. predicate over the anonymous pipeline."""
     from repro.verification.statistical import WhpCheck
 
-    _reject_ignored_flags(
-        args, "--statistical --algorithm anonymous", _ring_only_flags(args)
-    )
     report = _run_check(
         args, WhpCheck, n=args.n, c=args.c, seed=args.seed, backend=args.backend
     )

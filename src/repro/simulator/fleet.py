@@ -195,8 +195,12 @@ class FleetResult:
     ``rho_ccw`` are directional receive counters, ``sigma_cw`` /
     ``sigma_ccw`` the matching send counters; ``cw_port_labels`` is the
     port-indexed view Algorithm 3 exposes.  ``rounds`` / ``lap_skips``
-    are whole-fleet diagnostics (they depend on the batching, unlike the
-    per-instance outcomes, which are schedule-invariant).
+    are batching diagnostics that depend on the backend, unlike the
+    schedule-invariant per-instance outcomes.  NumPy advances the block as
+    one: ``rounds`` sums, over the algorithm's runs, the rounds until every
+    row quiesced, and ``lap_skips`` counts block-wide skip steps.  Pure
+    Python runs each instance alone: ``rounds`` is the largest per-instance
+    count and ``lap_skips`` the sum of every instance's skip steps.
     """
 
     algorithm: str

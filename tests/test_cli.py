@@ -181,20 +181,23 @@ class TestVerifyStatistical:
             ["--spill-threshold-mb", "1"],
             ["--compare-unreduced"],
             ["--invariants"],
+            ["--reduction", "none"],
+            ["--max-states", "5"],
         ],
         ids=lambda flag: flag[0],
     )
     @pytest.mark.parametrize(
-        "mode",
-        [[], ["--topology", "theta:1,1,1"], ["--algorithm", "anonymous"]],
+        "label, mode",
+        [
+            ("--statistical", ["--n", "4", "--id-max", "20"]),
+            ("--statistical --topology", ["--topology", "theta:1,1,1", "--id-max", "20"]),
+            ("--statistical --algorithm anonymous", ["--algorithm", "anonymous", "--n", "4"]),
+        ],
         ids=["ring", "topology", "anonymous"],
     )
-    def test_statistical_rejects_exhaustive_only_flags(self, mode, flag):
-        with pytest.raises(SystemExit, match=f"--statistical ignores {flag[0]};"):
-            main([
-                "verify", "--statistical", *mode, "--samples", "16", "--n", "4",
-                "--id-max", "20", *flag,
-            ])
+    def test_statistical_rejects_exhaustive_only_flags(self, label, mode, flag):
+        with pytest.raises(SystemExit, match=f"^verify {label} ignores {flag[0]};"):
+            main(["verify", "--statistical", *mode, "--samples", "16", *flag])
 
     def test_recovery_rejects_inject_drop(self):
         with pytest.raises(SystemExit, match="ignores --inject-drop"):
@@ -558,7 +561,7 @@ def test_main_imports_only_the_named_verb():
         from repro.cli import VERBS, main
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["elect", "--ids", "3,7,5,2"]) == 0
-        print(sorted(f"repro.cli.{verb}" for verb in VERBS
+        print(sorted(f"repro.cli.{verb}" for verb in [*VERBS, "reference"]
                      if f"repro.cli.{verb}" in sys.modules))
         """
     )
