@@ -23,7 +23,7 @@ Package layout:
 * :mod:`repro.baselines` — classic content-carrying ring elections.
 * :mod:`repro.ids` — Algorithm 4's random ID sampling.
 * :mod:`repro.analysis` — closed forms and statistics.
-* :mod:`repro.asyncio_runtime` — an alternative asyncio execution backend.
+* :mod:`repro.verification` — exhaustive and statistical model checking.
 """
 
 from repro.core.anonymous import (

@@ -40,7 +40,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                          help="instances per resumable shard")
     add_options(
         fsubmit, "--n", "--id-max", "--seed", "--sched-seed", "--scheduler",
-        "--algorithm", id_max="recovery/degradation: ID universe bound",
+        "--algorithm", id_max="recovery/degradation/ear/adversary: ID universe bound",
     )
     fsubmit.add_argument("--c", type=float, default=2.0,
                          help="whp: sampler exponent")

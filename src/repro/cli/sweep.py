@@ -43,16 +43,21 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 _SWEEP = {"workload", "n", "trials", "seed", "processes", "fleet", "backend", "farm"}
+_WHP = {"c", "min_rate", "lemma18"}
 
-#: mode label -> the dests its path reads.
+#: mode label -> the dests its path reads.  Without the fleet, each trial
+#: runs on its own and no fleet backend is chosen; the library refuses a
+#: farm root there with its own message, so ``farm`` stays readable.
 MODES = {
     "--workload placements": _SWEEP,
-    "--workload whp": _SWEEP | {"c", "min_rate", "lemma18"},
+    "--workload whp": _SWEEP | _WHP,
+    "--workload placements --no-fleet": _SWEEP - {"backend"},
+    "--workload whp --no-fleet": (_SWEEP | _WHP) - {"backend"},
 }
 
 
 def mode(args: argparse.Namespace) -> str:
-    return f"--workload {args.workload}"
+    return f"--workload {args.workload}" + ("" if args.fleet else " --no-fleet")
 
 
 def run(args: argparse.Namespace) -> int:

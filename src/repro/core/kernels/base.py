@@ -28,8 +28,8 @@ Backends consume kernels through thin adapters:
   ``on_pulses`` to ``step`` (see :func:`apply_emissions`);
 * the fleet engine calls the scalar ``step`` per node (pure-Python
   backend) or the kernel's ``*_np`` column lowerings (NumPy backend);
-* the synchronous engine wraps kernel states in
-  :class:`~repro.synchronous.kernel_node.KernelSyncNode`.
+* the explorers drive the engine's node classes and fingerprint their
+  kernel states through the schema.
 """
 
 from __future__ import annotations

@@ -73,8 +73,8 @@ SCHEMA = StateSchema(
 
 @dataclass
 class NonOrientedState:
-    """Standalone kernel state (synchronous backend; the fleet lowers to
-    two directional warm-up kernels instead)."""
+    """Standalone kernel state (the kernel tests drive it directly; the
+    fleet lowers to two directional warm-up kernels instead)."""
 
     node_id: int
     scheme: IdScheme

@@ -66,7 +66,7 @@ SCHEMA = StateSchema(
 
 @dataclass
 class TerminatingState:
-    """Standalone kernel state (fleet / synchronous backends).
+    """Standalone kernel state (the pure-Python fleet backend).
 
     The engine backend uses
     :class:`~repro.core.terminating.TerminatingNode` objects directly.

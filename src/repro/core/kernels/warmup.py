@@ -45,7 +45,7 @@ SCHEMA = StateSchema(
 
 @dataclass
 class WarmupState:
-    """Standalone kernel state (fleet / synchronous backends).
+    """Standalone kernel state (the pure-Python fleet backend).
 
     The engine backend uses :class:`~repro.core.warmup.WarmupNode`
     objects directly — the schema fields are the node's slots.

@@ -2,15 +2,16 @@
 
 Every transition kernel in :mod:`repro.core.kernels` declares its local
 state as a :class:`StateSchema`: named fields with a *role* saying how the
-field behaves across schedules.  The schema is what lets four very
+field behaves across schedules.  The schema is what lets very
 different backends agree on "the same state":
 
 * the event-driven :class:`~repro.simulator.engine.Engine` and the
   schedule explorers hold states as node objects (the schema fields are
   the node's ``__slots__``);
 * the fleet engine (:mod:`repro.simulator.fleet`) lowers each field to a
-  struct-of-arrays column, one array per field across ``B`` instances;
-* the synchronous engine holds plain kernel-state dataclasses;
+  struct-of-arrays column, one array per field across ``B`` instances
+  (NumPy backend), or holds plain kernel-state dataclasses per node
+  (pure-Python backend);
 * the backend-conformance suite fingerprints the *observable* projection
   of each and asserts bit equality.
 

@@ -13,7 +13,8 @@ This module defines:
 * :class:`NodeAPI` — the capability object handed to node callbacks.  It is
   the only way a node can affect the network (send / terminate), which
   keeps algorithm classes pure state machines and makes them reusable
-  across the discrete-event engine and the asyncio runtime.
+  across the discrete-event engine, the explorers and the composition
+  phases.
 * :class:`Node` — the abstract base class algorithms subclass.
 """
 
@@ -33,9 +34,10 @@ VALID_PORTS = (PORT_ZERO, PORT_ONE)
 class NodeAPI(abc.ABC):
     """Capabilities a node may use while handling an event.
 
-    Concrete implementations are provided by the discrete-event engine and
-    by the asyncio runtime.  Algorithm code must interact with the network
-    exclusively through this interface.
+    Concrete implementations are provided by the discrete-event engine,
+    the unreduced and reduced explorers, and the composition phases.
+    Algorithm code must interact with the network exclusively through
+    this interface.
     """
 
     @abc.abstractmethod

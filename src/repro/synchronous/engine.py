@@ -93,21 +93,11 @@ class SyncEngine:
         network: Wired topology (ring builders work unchanged) whose
             nodes are :class:`SyncNode` instances.
         max_rounds: Bound before declaring non-termination.
-        stop_when_quiescent: Also stop once a round delivers no messages
-            and queues none — the halting condition for *stabilizing*
-            algorithms (Algorithm 1's kernel never terminates; it
-            quiesces).
     """
 
-    def __init__(
-        self,
-        network: Network,
-        max_rounds: int = 100_000,
-        stop_when_quiescent: bool = False,
-    ) -> None:
+    def __init__(self, network: Network, max_rounds: int = 100_000) -> None:
         self.network = network
         self.max_rounds = max_rounds
-        self.stop_when_quiescent = stop_when_quiescent
         self._in_flight: Dict[int, List[Any]] = {}  # channel_id -> payloads
         self._total_sent = 0
         self._round = 0
@@ -139,12 +129,6 @@ class SyncEngine:
         """Run rounds until every node terminates (or the bound trips)."""
         nodes = self.network.nodes
         while not all(node.terminated for node in nodes):
-            if (
-                self.stop_when_quiescent
-                and self._round > 0
-                and not self._in_flight
-            ):
-                break
             if self._round >= self.max_rounds:
                 raise SimulationLimitExceeded(
                     f"no global termination after {self._round} rounds",

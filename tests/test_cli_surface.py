@@ -81,7 +81,8 @@ def test_help_surface(monkeypatch, capsys, path):
 )
 def test_each_mode_accepts_every_option_it_reads(monkeypatch, verb, label):
     """The label's sub-verb and every option the mode reads (a label flag takes
-    the label's word, another choice its default, the rest ``1``) reach ``run``."""
+    the label's spelling and word, another choice its default, the rest ``1``)
+    reach ``run``."""
     module = importlib.import_module(f"repro.cli.{verb}")
     words = label.split()
     argv = [verb, *(word for word in words[:1] if word[:2] != "--")]  # a sub-verb
@@ -93,7 +94,8 @@ def test_each_mode_accepts_every_option_it_reads(monkeypatch, verb, label):
                 reads.setdefault(action.dest, action)
     assert set(reads) == module.MODES[label]
     for action in reads.values():
-        flag = action.option_strings[0]
+        spelled = [flag for flag in action.option_strings if flag in words]
+        flag = (spelled or action.option_strings)[0]
         argv.append(flag)
         if action.nargs != 0:
             argv.append(chosen.get(flag, action.default if action.choices else "1"))
@@ -128,6 +130,10 @@ REFUSALS = [
      "elect --setting anonymous ignores --ids; drop them"),
     ("sweep --workload placements --n 4 --trials 8 --min-rate 0.99 --lemma18 --c 9",
      "sweep --workload placements ignores --c, --min-rate, --lemma18; drop them"),
+    ("sweep --workload placements --n 4 --trials 8 --no-fleet --backend numpy",
+     "sweep --workload placements --no-fleet ignores --backend; drop them"),
+    ("sweep --workload whp --n 4 --trials 8 --no-fleet --backend numpy",
+     "sweep --workload whp --no-fleet ignores --backend; drop them"),
     ("compute --ids 14,3,27 --inputs 18,22,19 --leader 2",
      "compute --ids ignores --leader; drop them"),
     ("simulate --ids 4,9,2 --value 7 --inputs 1,2,3",

@@ -266,8 +266,10 @@ def test_quoted_duplicate_and_spurious_points_match_the_sweep():
         assert _close(curve.points[0].success_rate, success), (kind, success)
 
 
-# -- no tracked file points at a retired bench --------------------------------
+# -- no tracked file points at a retired bench or substrate -------------------
 
+#: Names of deleted instruments and substrates (the substrate census in
+#: docs/ARCHITECTURE.md says which tests cover what they checked).
 RETIRED = (
     "run_engine_bench.py",
     "run_faults_bench.py",
@@ -278,6 +280,10 @@ RETIRED = (
     "pytest-benchmark",
     "--benchmark-only",
     "experiment_tables.txt",
+    "asyncio_runtime",
+    "run_network_asyncio",
+    "KernelSyncNode",
+    "stop_when_quiescent",
 )
 #: The root-level markdown a reader follows.  The other root documents
 #: (the change ledger, the roadmap, paper notes) record history, and
