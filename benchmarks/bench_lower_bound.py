@@ -13,12 +13,12 @@ Regenerates Section 6 end to end, executable:
 
 from __future__ import annotations
 
+from repro.analysis.complexity import algorithm2_pulses
 from repro.core.lower_bound import (
     find_common_prefix_group,
     find_pattern_collision,
     lower_bound_pulses,
     solitude_patterns,
-    theorem1_upper_bound,
 )
 from repro.core.terminating import TerminatingNode, run_terminating
 
@@ -74,7 +74,7 @@ def test_bound_gap_curve(report):
     for exponent in range(3, 15, 2):
         id_max = n * (2**exponent)
         lower = lower_bound_pulses(n, id_max)
-        upper = theorem1_upper_bound(n, id_max)
+        upper = algorithm2_pulses(n, id_max)
         rows.append((n, id_max, lower, upper, f"{upper/lower:.1f}"))
     report.line(
         "Upper (Thm 1, exact) vs lower (Thm 4) bound: the exponential gap "

@@ -47,12 +47,13 @@ _WHP = {"c", "min_rate", "lemma18"}
 
 #: mode label -> the dests its path reads.  Without the fleet, each trial
 #: runs on its own and no fleet backend is chosen; the library refuses a
-#: farm root there with its own message, so ``farm`` stays readable.
+#: farm root there with its own message, so ``farm`` stays readable.  The
+#: scalar whp path runs in this process, so it reads no ``processes``.
 MODES = {
     "--workload placements": _SWEEP,
     "--workload whp": _SWEEP | _WHP,
     "--workload placements --no-fleet": _SWEEP - {"backend"},
-    "--workload whp --no-fleet": (_SWEEP | _WHP) - {"backend"},
+    "--workload whp --no-fleet": (_SWEEP | _WHP) - {"backend", "processes"},
 }
 
 
@@ -62,6 +63,7 @@ def mode(args: argparse.Namespace) -> str:
 
 def run(args: argparse.Namespace) -> int:
     from repro.analysis.average_case import measure_oblivious_over_placements
+    from repro.analysis.complexity import algorithm2_pulses
     from repro.analysis.whp import measure_anonymous_success
 
     engine = "fleet" if args.fleet else ("batched" if args.workload == "placements" else "scalar")
@@ -85,7 +87,7 @@ def run(args: argparse.Namespace) -> int:
             f"1..{args.n}: mean={stats.mean:.1f} min={stats.minimum} "
             f"max={stats.maximum} spread={stats.spread}"
         )
-        expected = args.n * (2 * args.n + 1)
+        expected = algorithm2_pulses(args.n, args.n)
         print(f"theorem 1 bound n(2*IDmax+1) = {expected}")
         if stats.spread != 0 or stats.minimum != expected:
             print("FAIL: placement variance detected (theorem 1 violated)")

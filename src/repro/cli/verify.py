@@ -186,13 +186,16 @@ def run(args: argparse.Namespace) -> int:
 
 
 def _expected_pulse_bound(algorithm: str, ids: List[int]) -> tuple[str, int]:
-    """The paper's exact message count for one instance of ``algorithm``."""
-    n, id_max = len(ids), max(ids)
-    if algorithm == "warmup":
-        return ("n*IDmax (Cor 13)", n * id_max)
-    if algorithm == "terminating":
-        return ("n(2*IDmax+1) (Thm 1)", n * (2 * id_max + 1))
-    return ("n(2*IDmax+1) (Thm 2)", n * (2 * id_max + 1))
+    """The paper's exact message count for one instance of ``algorithm``,
+    with the label ``repro verify`` prints for it."""
+    from repro.core.kernels import get_kernel
+
+    label = {
+        "warmup": "n*IDmax (Cor 13)",
+        "terminating": "n(2*IDmax+1) (Thm 1)",
+        "nonoriented": "n(2*IDmax+1) (Thm 2)",
+    }[algorithm]
+    return label, get_kernel(algorithm).module.pulse_bound(ids)
 
 
 def _explore(args: argparse.Namespace) -> int:

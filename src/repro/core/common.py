@@ -14,10 +14,10 @@ from* CW ports but *arrive at* CCW ports:
 from __future__ import annotations
 
 import enum
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.simulator.node import Node, NodeAPI, PORT_ONE, PORT_ZERO
+from repro.simulator.node import Node, PORT_ONE, PORT_ZERO
 
 #: Port a node sends CW pulses from (its clockwise port).
 CW_SEND_PORT = PORT_ONE
@@ -77,11 +77,11 @@ def validate_positive_ids(ids: Sequence[int]) -> None:
 class OrientedRingNode(Node):
     """Base class for nodes on an *oriented* ring.
 
-    Maintains the paper's four counters — :math:`\\rho_{cw}, \\sigma_{cw},
-    \\rho_{ccw}, \\sigma_{ccw}` — and exposes ``send_cw`` / ``send_ccw``
-    helpers that keep them in sync with every pulse sent.  Receive counters
-    are updated by subclasses the moment they *process* a pulse (matching
-    the paper, where ``recvCW()`` consumes a pulse from the queue).
+    Holds the paper's four counters — :math:`\\rho_{cw}, \\sigma_{cw},
+    \\rho_{ccw}, \\sigma_{ccw}`.  The subclasses' kernels
+    (:mod:`repro.core.kernels`) count every pulse they send, and a receive
+    the moment they *process* the pulse (matching the paper, where
+    ``recvCW()`` consumes a pulse from the queue).
 
     Attributes:
         node_id: This node's ID (:math:`\\mathsf{ID}_v`).
@@ -102,21 +102,3 @@ class OrientedRingNode(Node):
         self.rho_ccw = 0
         self.sigma_ccw = 0
         self.state = LeaderState.UNDECIDED
-
-    def send_cw(self, api: NodeAPI) -> None:
-        """``sendCW()``: emit one pulse clockwise and count it."""
-        self.sigma_cw += 1
-        api.send(CW_SEND_PORT)
-
-    def send_ccw(self, api: NodeAPI) -> None:
-        """``sendCCW()``: emit one pulse counterclockwise and count it."""
-        self.sigma_ccw += 1
-        api.send(CCW_SEND_PORT)
-
-    def classify_arrival(self, port: int) -> str:
-        """Map an arrival port to the pulse's travel direction.
-
-        Returns ``"cw"`` for clockwise pulses (arriving at ``Port_0``) and
-        ``"ccw"`` for counterclockwise ones (arriving at ``Port_1``).
-        """
-        return "cw" if port == CW_ARRIVAL_PORT else "ccw"

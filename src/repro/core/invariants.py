@@ -28,23 +28,32 @@ emitted, and the *lag* invariant :math:`\\rho_{ccw} \\le \\rho_{cw}` holds
 at every node until the termination phase (this is what makes the line-14
 trigger unique to the leader).
 
-Every predicate is stated once against the kernel state schemas
-(:mod:`repro.core.kernels`) and checked through two adapters: the
-engine-hook form (functions taking an ``Engine``/``EngineView``, below)
-reads node objects, and the column form (``check_columns_*``, taking a
-:class:`~repro.simulator.fleet.FleetRoundView`) reads the fleet's
-struct-of-arrays state — the statistical model checker runs the column
-battery over millions of sampled schedules.  The column battery also adds
-a *conservation* law no single node can state: per instance and
-direction, every pulse ever sent is processed, buffered, or in flight
-(:math:`\\sum\\sigma = \\sum\\rho + \\sum\\text{pend} +
-\\sum\\text{flight}`), which catches lost pulses the per-node lemmas can
-miss.
+Each per-state lemma below is one *statement*: a function of one
+instance's per-node lists (``ids``, ``rho_cw``, ...; the parameter names
+are the :class:`~repro.simulator.fleet.FleetRoundView` field names) that
+returns the violation text for the first offending node, or ``None``.
+Every substrate reads that statement:
+
+* the engine hooks (``check_*``, taking an ``Engine`` or an
+  :class:`~repro.verification.common.EngineView`) read the lists off the
+  node objects and raise the text;
+* the column forms (``check_columns_*``, taking a ``FleetRoundView``)
+  run it on every row of a pure-Python view; on a NumPy view a
+  vectorized mask screens the whole block and the statement runs on the
+  first flagged row only.  The statistical model checker runs the column
+  battery over millions of sampled schedules.
+
+The column battery also checks a *conservation* law no single node can
+state: per instance and direction, every pulse ever sent is processed,
+buffered, or in flight (:math:`\\sum\\sigma = \\sum\\rho +
+\\sum\\text{pend} + \\sum\\text{flight}`), which catches lost pulses the
+per-node lemmas can miss.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+import inspect
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.common import OrientedRingNode
 from repro.core.terminating import TerminatingNode
@@ -56,44 +65,141 @@ class InvariantViolation(AssertionError):
     """An executable lemma failed; carries a forensic description."""
 
 
-def lemma6_expected_sigma(node_id: int, rho_cw: int) -> int:
-    """Lemma 6's exact send count: ``rho_cw + 1`` while the node is below
-    its ID (one excess pulse out), ``rho_cw`` once at-or-past it."""
-    return rho_cw + 1 if rho_cw < node_id else rho_cw
+# ---------------------------------------------------------------------------
+# The statements: one instance's per-node lists in, the first violation's
+# text (or None) out.
+# ---------------------------------------------------------------------------
 
 
-def _oriented_nodes(engine: Engine) -> List[OrientedRingNode]:
-    return [node for node in engine.network.nodes]  # type: ignore[list-item]
+def lemma6_cw(ids, rho_cw, sigma_cw) -> Optional[str]:
+    """Lemma 6 for the CW channel.
+
+    A node has sent exactly ``rho_cw + 1`` pulses while it is below its
+    ID (one excess pulse out), and ``rho_cw`` once at or past it.  The
+    lemma holds at the end of each loop iteration; buffered-but-
+    unprocessed pulses count as still in transit (the paper's
+    footnote 2).
+    """
+    for v, (node_id, rho, sigma) in enumerate(zip(ids, rho_cw, sigma_cw)):
+        expected = rho + 1 if rho < node_id else rho
+        if sigma != expected:
+            return (
+                f"Lemma 6 violated at node {v} (ID {node_id}): "
+                f"rho_cw={rho}, sigma_cw={sigma}, expected sigma_cw={expected}"
+            )
+    return None
+
+
+def corollary14(ids, rho_cw) -> Optional[str]:
+    """Corollary 14: no node ever receives more than IDmax CW pulses."""
+    id_max = max(ids)
+    for v, rho in enumerate(rho_cw):
+        if rho > id_max:
+            return f"Corollary 14 violated at node {v}: rho_cw={rho} > IDmax={id_max}"
+    return None
+
+
+def ccw_lag(ids, rho_cw, rho_ccw, term_sent) -> Optional[str]:
+    """Algorithm 2's lag discipline: rho_ccw <= rho_cw until termination.
+
+    Once some node has emitted the termination pulse, nodes may observe
+    :math:`\\rho_{ccw} = \\rho_{cw} + 1` exactly once (the pulse that makes
+    them terminate); any larger excess is a violation.
+    """
+    allowed = 1 if any(term_sent) else 0
+    for v, (node_id, cw, ccw) in enumerate(zip(ids, rho_cw, rho_ccw)):
+        if ccw > cw + allowed:
+            return (
+                f"CCW lag violated at node {v} (ID {node_id}): "
+                f"rho_ccw={ccw} > rho_cw={cw} + {allowed}"
+            )
+    return None
+
+
+def leader_event_unique(ids, term_sent) -> Optional[str]:
+    """The line-14 trigger fires only at the maximal-ID node.
+
+    ``term_sent`` records that a node observed
+    :math:`\\rho_{cw} = \\mathsf{ID}_v = \\rho_{ccw}`; Theorem 1's
+    correctness hinges on this being unique to :math:`\\ell`.
+    """
+    id_max = max(ids)
+    for v, (node_id, sent) in enumerate(zip(ids, term_sent)):
+        if sent and node_id != id_max:
+            return (
+                f"non-maximal node {v} (ID {node_id}, IDmax {id_max}) "
+                f"fired the leader-only termination trigger"
+            )
+    return None
+
+
+def conservation(
+    sigma_cw, rho_cw, pend_cw, flight_cw, sigma_ccw, rho_ccw, pend_ccw, flight_ccw
+) -> Optional[str]:
+    """Per-direction pulse conservation, CW first.
+
+    Every pulse a node sends is, at any round boundary, exactly one of:
+    processed at its receiver (counted in :math:`\\rho`), buffered there
+    (pending), or in flight.  So per direction,
+    :math:`\\sum_v \\sigma_v = \\sum_v \\rho_v + \\sum_v \\text{pend}_v +
+    \\sum_v \\text{flight}_v`.  A lost pulse (a fault, or a kernel bug
+    miscounting relays) breaks this immediately — it is the statistical
+    checker's primary tripwire and has no single-node equivalent.
+    """
+    for label, sigma, rho, pend, flight in (
+        ("CW", sigma_cw, rho_cw, pend_cw, flight_cw),
+        ("CCW", sigma_ccw, rho_ccw, pend_ccw, flight_ccw),
+    ):
+        sent = sum(sigma)
+        accounted = sum(rho) + sum(pend) + sum(flight)
+        if sent != accounted:
+            return (
+                f"{label} conservation violated: sum(sigma)={sent} != "
+                f"sum(rho)+sum(pend)+sum(flight)={accounted}"
+            )
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Engine hooks: evaluated after every delivery (or at every explored
+# state through an EngineView), so a passing run certifies the lemma
+# along the entire execution.
+# ---------------------------------------------------------------------------
+
+
+def _check_nodes(engine: Engine, statement: Callable, *attrs: str) -> None:
+    """Run ``statement`` on the node attributes ``attrs``; raise its text."""
+    nodes = engine.network.nodes
+    text = statement(*([getattr(node, attr) for node in nodes] for attr in attrs))
+    if text is not None:
+        raise InvariantViolation(text)
+
+
+def _require_algorithm2(engine: Engine, hook: str) -> None:
+    if not all(isinstance(node, TerminatingNode) for node in engine.network.nodes):
+        raise InvariantViolation(f"{hook} applies to Algorithm 2 only")
 
 
 def check_lemma6_cw(engine: Engine) -> None:
-    """Lemma 6 for the CW channel, checked after every delivery.
-
-    The check is evaluated between loop iterations (i.e. after a node's
-    handler fully ran), which is exactly the lemma's "end of each
-    iteration" proviso.  Buffered-but-unprocessed pulses count as still in
-    transit, matching the paper's footnote 2.
-    """
-    for index, node in enumerate(_oriented_nodes(engine)):
-        expected = lemma6_expected_sigma(node.node_id, node.rho_cw)
-        if node.sigma_cw != expected:
-            raise InvariantViolation(
-                f"Lemma 6 violated at node {index} (ID {node.node_id}): "
-                f"rho_cw={node.rho_cw}, sigma_cw={node.sigma_cw}, "
-                f"expected sigma_cw={expected}"
-            )
+    """Lemma 6 for the CW channel; see :func:`lemma6_cw`."""
+    _check_nodes(engine, lemma6_cw, "node_id", "rho_cw", "sigma_cw")
 
 
 def check_corollary14(engine: Engine) -> None:
-    """Corollary 14: no node ever receives more than IDmax CW pulses."""
-    nodes = _oriented_nodes(engine)
-    id_max = max(node.node_id for node in nodes)
-    for index, node in enumerate(nodes):
-        if node.rho_cw > id_max:
-            raise InvariantViolation(
-                f"Corollary 14 violated at node {index}: "
-                f"rho_cw={node.rho_cw} > IDmax={id_max}"
-            )
+    """Corollary 14; see :func:`corollary14`."""
+    _check_nodes(engine, corollary14, "node_id", "rho_cw")
+
+
+def check_ccw_lag(engine: Engine) -> None:
+    """Algorithm 2's lag discipline; see :func:`ccw_lag`."""
+    _require_algorithm2(engine, "check_ccw_lag")
+    _check_nodes(engine, ccw_lag, "node_id", "rho_cw", "rho_ccw", "term_pulse_sent")
+
+
+def check_leader_event_unique(engine: Engine) -> None:
+    """Uniqueness of the line-14 trigger; see :func:`leader_event_unique`."""
+    _require_algorithm2(engine, "check_leader_event_unique")
+    _check_nodes(engine, leader_event_unique, "node_id", "term_pulse_sent")
 
 
 def check_pulses_in_transit_match_lemma12(engine: Engine) -> None:
@@ -102,9 +208,10 @@ def check_pulses_in_transit_match_lemma12(engine: Engine) -> None:
     ``B`` is the set of nodes with :math:`\\rho_{cw} < \\mathsf{ID}_v`.
     By Lemma 6 each contributes exactly one excess sent pulse, so the
     number of CW pulses in flight (channel queues; node-internal buffers
-    do not exist for Algorithm 1) must equal ``|B|``.
+    do not exist for Algorithm 1) must equal ``|B|``.  Engine-only: it
+    needs the network's in-flight total.
     """
-    nodes = _oriented_nodes(engine)
+    nodes = engine.network.nodes
     if not all(isinstance(node, WarmupNode) for node in nodes):
         raise InvariantViolation(
             "the in-transit accounting check applies to Algorithm 1 only"
@@ -116,54 +223,6 @@ def check_pulses_in_transit_match_lemma12(engine: Engine) -> None:
             f"Lemma 12 accounting violated: {in_transit} pulses in transit "
             f"but |B|={lagging}"
         )
-
-
-def check_ccw_lag(engine: Engine) -> None:
-    """Algorithm 2's lag discipline: rho_ccw <= rho_cw until termination.
-
-    Once some node has emitted the termination pulse, nodes may observe
-    :math:`\\rho_{ccw} = \\rho_{cw} + 1` exactly once (the pulse that makes
-    them terminate); any larger excess is a violation.
-    """
-    nodes = engine.network.nodes
-    for index, node in enumerate(nodes):
-        if not isinstance(node, TerminatingNode):
-            raise InvariantViolation("check_ccw_lag applies to Algorithm 2 only")
-        allowed_excess = 1 if _termination_phase_started(nodes) else 0
-        if node.rho_ccw > node.rho_cw + allowed_excess:
-            raise InvariantViolation(
-                f"CCW lag violated at node {index} (ID {node.node_id}): "
-                f"rho_ccw={node.rho_ccw} > rho_cw={node.rho_cw}"
-                f" + {allowed_excess}"
-            )
-
-
-def check_leader_event_unique(engine: Engine) -> None:
-    """The line-14 trigger fires only at the maximal-ID node.
-
-    ``term_pulse_sent`` records that a node observed
-    :math:`\\rho_{cw} = \\mathsf{ID}_v = \\rho_{ccw}`; Theorem 1's
-    correctness hinges on this being unique to :math:`\\ell`.
-    """
-    nodes = engine.network.nodes
-    id_max = max(node.node_id for node in nodes)  # type: ignore[attr-defined]
-    for index, node in enumerate(nodes):
-        if not isinstance(node, TerminatingNode):
-            raise InvariantViolation(
-                "check_leader_event_unique applies to Algorithm 2 only"
-            )
-        if node.term_pulse_sent and node.node_id != id_max:
-            raise InvariantViolation(
-                f"non-maximal node {index} (ID {node.node_id}, IDmax "
-                f"{id_max}) fired the leader-only termination trigger"
-            )
-
-
-def _termination_phase_started(nodes: Sequence) -> bool:
-    return any(
-        isinstance(node, TerminatingNode) and node.term_pulse_sent
-        for node in nodes
-    )
 
 
 def check_end_state_corollary13(nodes: Sequence[OrientedRingNode]) -> None:
@@ -221,180 +280,83 @@ def hooks_for(algorithm: str):
 
 
 # ---------------------------------------------------------------------------
-# Column forms — the same lemmas over fleet struct-of-arrays state.
+# Column forms — the same statements over fleet struct-of-arrays state.
 #
 # Each check takes a FleetRoundView (numpy [B, n] arrays or pure-Python
 # lists-of-lists; see repro.simulator.fleet) snapshotted at a fleet round
 # boundary — a post-drain global state, where each lemma's "end of each
-# iteration" proviso holds.  The NumPy fast path computes a violation
-# mask across the whole block and only localizes coordinates on failure,
-# so a passing round costs a handful of array ops.
+# iteration" proviso holds.  On NumPy a mask over the whole block screens
+# the round, so a passing round costs the field reads, the mask and one
+# ``.any()``; the statement, the authority on the text, then runs on the
+# first flagged row.
 # ---------------------------------------------------------------------------
 
 
-def _locate(np: Any, bad: Any) -> Sequence[int]:
-    """First (row, node) coordinate of a violation mask."""
-    return [int(i) for i in np.argwhere(bad)[0]]
+def _column_form(statement: Callable[..., Optional[str]], mask: Callable[..., Any]):
+    """``check_columns_<statement>``: ``statement`` over a view's rows.
 
-
-def check_columns_lemma6_cw(view: Any) -> None:
-    """Lemma 6 (CW channel) across a fleet block; see :func:`check_lemma6_cw`."""
-    if view.backend == "numpy":
-        from repro.accel import np
-
-        expected = np.where(view.rho_cw < view.ids, view.rho_cw + 1, view.rho_cw)
-        bad = view.sigma_cw != expected
-        if not bad.any():
-            return
-        b, v = _locate(np, bad)
-        raise InvariantViolation(
-            f"instance {view.instance_offset + b}, round {view.round_index}: "
-            f"Lemma 6 violated at node {v} (ID {int(view.ids[b][v])}): "
-            f"rho_cw={int(view.rho_cw[b][v])}, sigma_cw={int(view.sigma_cw[b][v])}, "
-            f"expected sigma_cw={int(expected[b][v])}"
-        )
-    for b, (ids, rhos, sigmas) in enumerate(
-        zip(view.ids, view.rho_cw, view.sigma_cw)
-    ):
-        for v, (node_id, rho, sigma) in enumerate(zip(ids, rhos, sigmas)):
-            expected = lemma6_expected_sigma(node_id, rho)
-            if sigma != expected:
-                raise InvariantViolation(
-                    f"instance {view.instance_offset + b}, round "
-                    f"{view.round_index}: Lemma 6 violated at node {v} "
-                    f"(ID {node_id}): rho_cw={rho}, sigma_cw={sigma}, "
-                    f"expected sigma_cw={expected}"
-                )
-
-
-def check_columns_corollary14(view: Any) -> None:
-    """Corollary 14 across a fleet block; see :func:`check_corollary14`."""
-    if view.backend == "numpy":
-        from repro.accel import np
-
-        id_max = view.ids.max(axis=1, keepdims=True)
-        bad = view.rho_cw > id_max
-        if not bad.any():
-            return
-        b, v = _locate(np, bad)
-        raise InvariantViolation(
-            f"instance {view.instance_offset + b}, round {view.round_index}: "
-            f"Corollary 14 violated at node {v}: "
-            f"rho_cw={int(view.rho_cw[b][v])} > IDmax={int(id_max[b][0])}"
-        )
-    for b, (ids, rhos) in enumerate(zip(view.ids, view.rho_cw)):
-        id_max = max(ids)
-        for v, rho in enumerate(rhos):
-            if rho > id_max:
-                raise InvariantViolation(
-                    f"instance {view.instance_offset + b}, round "
-                    f"{view.round_index}: Corollary 14 violated at node {v}: "
-                    f"rho_cw={rho} > IDmax={id_max}"
-                )
-
-
-def check_columns_ccw_lag(view: Any) -> None:
-    """Algorithm 2's lag discipline across a fleet block; see
-    :func:`check_ccw_lag`."""
-    if view.backend == "numpy":
-        from repro.accel import np
-
-        allowed = view.term_sent.any(axis=1).astype(view.rho_cw.dtype)[:, None]
-        bad = view.rho_ccw > view.rho_cw + allowed
-        if not bad.any():
-            return
-        b, v = _locate(np, bad)
-        raise InvariantViolation(
-            f"instance {view.instance_offset + b}, round {view.round_index}: "
-            f"CCW lag violated at node {v} (ID {int(view.ids[b][v])}): "
-            f"rho_ccw={int(view.rho_ccw[b][v])} > "
-            f"rho_cw={int(view.rho_cw[b][v])} + {int(allowed[b][0])}"
-        )
-    for b, (ids, rho_cws, rho_ccws, sents) in enumerate(
-        zip(view.ids, view.rho_cw, view.rho_ccw, view.term_sent)
-    ):
-        allowed = 1 if any(sents) else 0
-        for v, (node_id, rho_cw, rho_ccw) in enumerate(zip(ids, rho_cws, rho_ccws)):
-            if rho_ccw > rho_cw + allowed:
-                raise InvariantViolation(
-                    f"instance {view.instance_offset + b}, round "
-                    f"{view.round_index}: CCW lag violated at node {v} "
-                    f"(ID {node_id}): rho_ccw={rho_ccw} > rho_cw={rho_cw}"
-                    f" + {allowed}"
-                )
-
-
-def check_columns_leader_event_unique(view: Any) -> None:
-    """Uniqueness of the line-14 trigger across a fleet block; see
-    :func:`check_leader_event_unique`."""
-    if view.backend == "numpy":
-        from repro.accel import np
-
-        id_max = view.ids.max(axis=1, keepdims=True)
-        bad = view.term_sent & (view.ids != id_max)
-        if not bad.any():
-            return
-        b, v = _locate(np, bad)
-        raise InvariantViolation(
-            f"instance {view.instance_offset + b}, round {view.round_index}: "
-            f"non-maximal node {v} (ID {int(view.ids[b][v])}, IDmax "
-            f"{int(id_max[b][0])}) fired the leader-only termination trigger"
-        )
-    for b, (ids, sents) in enumerate(zip(view.ids, view.term_sent)):
-        id_max = max(ids)
-        for v, (node_id, sent) in enumerate(zip(ids, sents)):
-            if sent and node_id != id_max:
-                raise InvariantViolation(
-                    f"instance {view.instance_offset + b}, round "
-                    f"{view.round_index}: non-maximal node {v} (ID {node_id}, "
-                    f"IDmax {id_max}) fired the leader-only termination trigger"
-                )
-
-
-def check_columns_conservation(view: Any) -> None:
-    """Per-direction pulse conservation across a fleet block.
-
-    Every pulse a node sends is, at any round boundary, exactly one of:
-    processed at its receiver (counted in :math:`\\rho`), buffered there
-    (pending), or in flight.  So per instance and direction,
-    :math:`\\sum_v \\sigma_v = \\sum_v \\rho_v + \\sum_v \\text{pend}_v +
-    \\sum_v \\text{flight}_v`.  A lost pulse (a fault, or a kernel bug
-    miscounting relays) breaks this immediately — it is the statistical
-    checker's primary tripwire and has no single-node equivalent.
+    ``mask`` takes the statement's columns as ``[B, n]`` arrays and
+    returns a per-row (or per-node) mask of the rows the statement
+    flags.  Built once per check, so a call looks nothing up.
     """
-    pairs = (
-        ("CW", view.sigma_cw, view.rho_cw, view.pend_cw, view.flight_cw),
-        ("CCW", view.sigma_ccw, view.rho_ccw, view.pend_ccw, view.flight_ccw),
-    )
-    if view.backend == "numpy":
-        from repro.accel import np
+    fields = tuple(inspect.signature(statement).parameters)
 
-        for label, sigma, rho, pend, flight in pairs:
-            sent = sigma.sum(axis=1)
-            accounted = rho.sum(axis=1) + pend.sum(axis=1) + flight.sum(axis=1)
-            bad = sent != accounted
+    def check(view: Any) -> None:
+        columns = [getattr(view, field) for field in fields]
+        rows = range(len(columns[0]))
+        if view.backend == "numpy":
+            bad = mask(*columns)
             if not bad.any():
-                continue
-            b = int(np.argwhere(bad)[0][0])
-            raise InvariantViolation(
-                f"instance {view.instance_offset + b}, round {view.round_index}: "
-                f"{label} conservation violated: sum(sigma)={int(sent[b])} != "
-                f"sum(rho)+sum(pend)+sum(flight)={int(accounted[b])}"
-            )
-        return
-    for label, sigma, rho, pend, flight in pairs:
-        for b, (sigmas, rhos, pends, flights) in enumerate(
-            zip(sigma, rho, pend, flight)
-        ):
-            sent = sum(sigmas)
-            accounted = sum(rhos) + sum(pends) + sum(flights)
-            if sent != accounted:
+                return
+            rows = [int(bad.nonzero()[0][0])]
+            columns = [column.tolist() for column in columns]
+        for b in rows:
+            text = statement(*(column[b] for column in columns))
+            if text is not None:
                 raise InvariantViolation(
-                    f"instance {view.instance_offset + b}, round "
-                    f"{view.round_index}: {label} conservation violated: "
-                    f"sum(sigma)={sent} != "
-                    f"sum(rho)+sum(pend)+sum(flight)={accounted}"
+                    f"instance {view.instance_offset + b}, "
+                    f"round {view.round_index}: {text}"
                 )
+
+    check.__name__ = check.__qualname__ = f"check_columns_{statement.__name__}"
+    check.__doc__ = f"Column form of :func:`{statement.__name__}` over a fleet block."
+    return check
+
+
+def _conservation_mask(
+    sigma_cw, rho_cw, pend_cw, flight_cw, sigma_ccw, rho_ccw, pend_ccw, flight_ccw
+):
+    # The CW pair screens the block first, as the statement reads it: a
+    # row that only breaks CCW must not be reported before a CW one.
+    for sigma, rho, pend, flight in (
+        (sigma_cw, rho_cw, pend_cw, flight_cw),
+        (sigma_ccw, rho_ccw, pend_ccw, flight_ccw),
+    ):
+        bad = sigma.sum(axis=1) != (
+            rho.sum(axis=1) + pend.sum(axis=1) + flight.sum(axis=1)
+        )
+        if bad.any():
+            break
+    return bad
+
+
+check_columns_lemma6_cw = _column_form(
+    lemma6_cw, lambda ids, rho_cw, sigma_cw: sigma_cw != rho_cw + (rho_cw < ids)
+)
+check_columns_corollary14 = _column_form(
+    corollary14, lambda ids, rho_cw: rho_cw > ids.max(axis=1, keepdims=True)
+)
+check_columns_ccw_lag = _column_form(
+    ccw_lag,
+    lambda ids, rho_cw, rho_ccw, term_sent: (
+        rho_ccw > rho_cw + term_sent.any(axis=1, keepdims=True)
+    ),
+)
+check_columns_leader_event_unique = _column_form(
+    leader_event_unique,
+    lambda ids, term_sent: term_sent & (ids != ids.max(axis=1, keepdims=True)),
+)
+check_columns_conservation = _column_form(conservation, _conservation_mask)
 
 
 TERMINATING_COLUMN_INVARIANTS = (

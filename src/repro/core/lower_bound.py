@@ -152,15 +152,6 @@ def lower_bound_pulses(n: int, k: int) -> int:
     return n * prefix_length(k, n)
 
 
-def theorem1_upper_bound(n: int, id_max: int) -> int:
-    """Theorem 1's matching upper bound: :math:`n(2\\,\\mathsf{ID}_{max}+1)`."""
-    if id_max < n:
-        raise ConfigurationError(
-            f"IDmax={id_max} cannot be below n={n} with unique positive IDs"
-        )
-    return n * (2 * id_max + 1)
-
-
 def expected_algorithm2_pattern(node_id: int) -> str:
     """Closed form of Algorithm 2's solitude pattern: :math:`0^i 1^{i+1}`.
 

@@ -219,12 +219,6 @@ class NonOrientedOutcome:
 
     @property
     def claimed_message_bound(self) -> int:
-        """The paper's exact pulse count for the scheme in use.
-
-        Proposition 15 (doubled IDs): :math:`n(4\\,\\mathsf{ID}_{max}-1)`.
-        Theorem 2 (successor IDs): :math:`n(2\\,\\mathsf{ID}_{max}+1)`.
-        """
-        n, id_max = len(self.ids), max(self.ids)
-        if self.scheme is IdScheme.DOUBLED:
-            return n * (4 * id_max - 1)
-        return n * (2 * id_max + 1)
+        """The paper's exact pulse count for the scheme in use; see
+        :func:`repro.core.kernels.nonoriented.pulse_bound`."""
+        return kernel.pulse_bound(self.ids, self.scheme)

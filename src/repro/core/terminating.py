@@ -169,5 +169,6 @@ class TerminatingOutcome:
 
     @property
     def theorem1_message_bound(self) -> int:
-        """The paper's exact complexity: :math:`n(2\\,\\mathsf{ID}_{max}+1)`."""
-        return len(self.ids) * (2 * max(self.ids) + 1)
+        """The paper's exact complexity; see
+        :func:`repro.core.kernels.terminating.pulse_bound`."""
+        return kernel.pulse_bound(self.ids)

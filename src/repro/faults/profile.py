@@ -41,9 +41,6 @@ class ReplayProfile:
     def __bool__(self) -> bool:
         return bool(self._models)
 
-    def is_faulty(self, channel_id: int) -> bool:
-        return channel_id in self._models
-
     def copies(self, channel_id: int, index: int) -> int:
         model = self._models.get(channel_id)
         if model is None:

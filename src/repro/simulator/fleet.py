@@ -195,12 +195,11 @@ class FleetResult:
     ``rho_ccw`` are directional receive counters, ``sigma_cw`` /
     ``sigma_ccw`` the matching send counters; ``cw_port_labels`` is the
     port-indexed view Algorithm 3 exposes.  ``rounds`` / ``lap_skips``
-    are batching diagnostics that depend on the backend, unlike the
-    schedule-invariant per-instance outcomes.  NumPy advances the block as
-    one: ``rounds`` sums, over the algorithm's runs, the rounds until every
-    row quiesced, and ``lap_skips`` counts block-wide skip steps.  Pure
-    Python runs each instance alone: ``rounds`` is the largest per-instance
-    count and ``lap_skips`` the sum of every instance's skip steps.
+    are batching diagnostics of the whole block, the same on both
+    backends: ``rounds`` sums, over the algorithm's runs, the rounds until
+    every instance quiesced, and ``lap_skips`` counts block-wide skip
+    steps, one per run, round, lane and kind (lap or hop) at which any
+    instance skipped.
     """
 
     algorithm: str
@@ -563,16 +562,20 @@ def _py_rounds(
 
     The seeded schedule keys on the block-local row ``b``; fault rolls
     and observer views use the global index ``instance_offset + b``.
-    Batching diagnostics are per instance here: ``rounds`` is the
-    largest per-instance sum over runs, ``lap_skips`` the sum.
+    The batching diagnostics count what the NumPy twin counts: per run
+    the largest per-instance round count, summed over runs, and one skip
+    per distinct ``(run, round, lane, lap|hop)`` at which any instance
+    skipped.
     """
     columns = [{} for _ in runs]
     totals, unfinished = [], []
-    rounds_max = skips = ignored = 0
+    run_rounds = [0] * len(runs)
+    skips = set()
+    ignored = 0
     for b in range(len(runs[0][0])):
-        total = rounds_b = 0
+        total = 0
         stuck = False
-        for cols_out, (gov_rows, lanes, faults) in zip(columns, runs):
+        for r, (cols_out, (gov_rows, lanes, faults)) in enumerate(zip(columns, runs)):
             state = spec(list(gov_rows[b]))
             n = len(state.gov)
             flights = [[0] * n for _ in lanes]
@@ -610,7 +613,7 @@ def _py_rounds(
                             mmin = 0
                         laps = mmin // k
                         if laps >= 1:
-                            skips += 1
+                            skips.add((r, rounds, first, "lap"))
                             add = laps * k
                             state.apply_laps(lane, [add] * n)
                             total += add * n
@@ -620,7 +623,7 @@ def _py_rounds(
                                 flights[first], margins, backward=lane.shift > 0
                             )
                             if hops:
-                                skips += 1
+                                skips.add((r, rounds, first, "hop"))
                                 state.apply_laps(lane, gains)
                                 total += sum(gains)
                     delivered = [[0] * n for _ in lanes]
@@ -652,11 +655,10 @@ def _py_rounds(
             for name, row in cols.items():
                 cols_out.setdefault(name, []).append(row)
             ignored += run_ignored
-            rounds_b += rounds
+            run_rounds[r] = max(run_rounds[r], rounds)
         totals.append(total)
         unfinished.append(stuck)
-        rounds_max = max(rounds_max, rounds_b)
-    return columns, totals, unfinished, rounds_max, skips, ignored
+    return columns, totals, unfinished, sum(run_rounds), len(skips), ignored
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ partial-order-reduced search) stay byte-for-byte comparable:
   only ever touch ``engine.network.nodes`` and
   ``engine.network.pending_messages()``.  :class:`EngineView` provides
   exactly that surface for an explorer state, so the same hook objects
-  certify invariants at every explored state.
+  certify invariants at every explored state.  Hooks are the explorers'
+  only per-state check.
 * **The visited set** — :class:`VisitedStore`, in memory or spilled to
   an on-disk table.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import os
 import sqlite3
 import tempfile
-from typing import Any, Callable, FrozenSet, Iterable, Optional, Sequence
+from typing import Any, FrozenSet, Iterable, Optional, Sequence
 
 
 class _NetworkFacade:
@@ -52,28 +53,6 @@ class EngineView:
 
     def __init__(self, nodes: Sequence[Any], pending: int) -> None:
         self.network = _NetworkFacade(nodes, pending)
-
-
-def run_state_checks(
-    nodes: Sequence[Any],
-    pending: int,
-    invariant: Optional[Callable[[Sequence[Any]], None]],
-    invariant_hooks: Sequence[Callable[[Any], None]],
-) -> None:
-    """Evaluate a user invariant + engine-style hooks at one explored state.
-
-    The shared check both explorers perform at every newly visited state:
-    the positional ``invariant`` callback receives the raw node list; each
-    hook receives an :class:`EngineView` of the state.  Either aborts the
-    exploration by raising (``AssertionError`` /
-    :class:`~repro.core.invariants.InvariantViolation`).
-    """
-    if invariant is not None:
-        invariant(nodes)
-    if invariant_hooks:
-        view = EngineView(nodes, pending)
-        for hook in invariant_hooks:
-            hook(view)
 
 
 # ---------------------------------------------------------------------------

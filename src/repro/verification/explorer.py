@@ -16,7 +16,7 @@ queues).  This module walks that structure exhaustively:
 * **Branching.**  From each state, one successor per non-empty channel
   (deep-copying the state and delivering that channel's head).
 * **Certificates.**  The explorer records every terminal (quiescent)
-  state's fingerprint and evaluates user invariants at every reachable
+  state's fingerprint and evaluates invariant hooks at every reachable
   state; `ExplorationResult.confluent` says whether all executions end
   in the same terminal state — exactly the schedule-invariance that
   Theorem 1's exact message count implies.
@@ -37,14 +37,14 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, List, Sequence, Set, Tuple
 
 from repro.exceptions import ProtocolViolation, ReproError
 from repro.simulator.network import Network
 from repro.simulator.node import NodeAPI, check_port
 from repro.core.schema import freeze_value, node_fingerprint
 from repro.faults.profile import build_fault_profile
-from repro.verification.common import run_state_checks
+from repro.verification.common import EngineView
 
 #: An engine-style invariant hook, evaluated at every explored state via
 #: an :class:`~repro.verification.common.EngineView` adapter.
@@ -224,7 +224,6 @@ class ExplorationResult:
 
 def explore_all_schedules(
     network_factory: Callable[[], Network],
-    invariant: Optional[Callable[[Sequence[Any]], None]] = None,
     max_states: int = 2_000_000,
     invariant_hooks: Sequence[StateHook] = (),
 ) -> ExplorationResult:
@@ -233,14 +232,14 @@ def explore_all_schedules(
     Args:
         network_factory: Builds a *fresh* network (fresh node objects) —
             called once; exploration proceeds by deep-copying states.
-        invariant: Optional callback receiving the node list at every
-            newly reached state; it should raise ``AssertionError`` to
-            report a violation (aborting the exploration).
         max_states: Budget on distinct states before raising
             :class:`ExplorationLimitExceeded`.
         invariant_hooks: Engine-style hooks (e.g. the executable lemmas
             in :mod:`repro.core.invariants`) evaluated at every explored
-            state through an :class:`~repro.verification.common.EngineView`.
+            state through an :class:`~repro.verification.common.EngineView`;
+            a hook raises (``AssertionError`` or
+            :class:`~repro.core.invariants.InvariantViolation`) to abort
+            the exploration.
 
     Returns:
         An :class:`ExplorationResult` certificate for this instance.
@@ -249,9 +248,10 @@ def explore_all_schedules(
     root.init_all()
 
     def check(state: _SimState) -> None:
-        run_state_checks(
-            state.nodes, state.pending_messages(), invariant, invariant_hooks
-        )
+        if invariant_hooks:
+            view = EngineView(state.nodes, state.pending_messages())
+            for hook in invariant_hooks:
+                hook(view)
 
     check(root)
 

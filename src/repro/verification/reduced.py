@@ -88,11 +88,7 @@ from repro.core.schema import (
     pack_node,
 )
 from repro.faults.profile import build_fault_profile
-from repro.verification.common import (
-    EngineView,
-    VisitedStore,
-    run_state_checks,
-)
+from repro.verification.common import EngineView, VisitedStore
 from repro.verification.explorer import ExplorationLimitExceeded, StateHook
 from repro.verification.symmetry import RingSymmetry
 
@@ -521,7 +517,6 @@ class ReducedExplorationResult:
 
 def explore_reduced(
     network_factory: Callable[[], Network],
-    invariant: Optional[Callable[[Sequence[Any]], None]] = None,
     max_states: int = 2_000_000,
     invariant_hooks: Sequence[StateHook] = (),
     *,
@@ -539,12 +534,6 @@ def explore_reduced(
 
     Args:
         network_factory: Builds a *fresh* network (fresh node objects).
-        invariant: Optional callback receiving the node list at every
-            visited state; raise ``AssertionError`` to abort.  It must
-            only read: the node objects are shared between states.
-            Evaluated at representatives only (it may be instance-
-            specific, e.g. name concrete IDs), never spot-checked under
-            the group.
         max_states: Budget on distinct visited states before raising
             :class:`~repro.verification.explorer.ExplorationLimitExceeded`.
         invariant_hooks: Engine-style hooks (e.g.
@@ -613,15 +602,20 @@ def explore_reduced(
 
     def check(state: _RState) -> None:
         nonlocal spot_checks
+        if not invariant_hooks:
+            return
         pending = state.pending_messages()
-        run_state_checks(state.nodes, pending, invariant, invariant_hooks)
-        if spot_element is not None and invariant_hooks:
+        views = [EngineView(state.nodes, pending)]
+        if spot_element is not None:
             # Satellite certificate: the hook battery also holds at the
             # image of this representative inside another orbit instance.
-            view = EngineView(sym.permute_nodes(spot_element, state.nodes), pending)
+            views.append(
+                EngineView(sym.permute_nodes(spot_element, state.nodes), pending)
+            )
+            spot_checks += 1
+        for view in views:
             for hook in invariant_hooks:
                 hook(view)
-            spot_checks += 1
 
     store = VisitedStore(
         track_payload=use_sleep,

@@ -94,6 +94,7 @@ from repro.analysis.parallel import (
 from repro.analysis.stats import clopper_pearson_interval
 from repro.core.common import LeaderState
 from repro.core.invariants import InvariantViolation, column_invariants_for
+from repro.core.kernels import get_kernel
 from repro.exceptions import ConfigurationError
 from repro.faults.fleet import merge_events
 from repro.faults.model import FaultModel, PulseDrop
@@ -275,9 +276,8 @@ class RingCheck(Check):
         self, sample: Any, result: Any, b: int, index: int
     ) -> Tuple[str, str]:
         ids = result.ids[b]
-        n, id_max = len(ids), max(ids)
-        expected_leader = max(range(n), key=lambda v: ids[v])
-        bound = n * (2 * id_max + 1)
+        expected_leader = max(range(len(ids)), key=lambda v: ids[v])
+        bound = get_kernel(self.algorithm).module.pulse_bound(ids)
         if result.unfinished and result.unfinished[b]:
             return (
                 "violated",
@@ -551,7 +551,9 @@ class TopologyCheck(Check):
         vid_max = max(result.virtual.ids[b])
         if any(rho != vid_max for rho in result.virtual.rho_cw[b]):
             problems.append(f"virtual counters not settled at VIDmax={vid_max}")
-        expected_pulses = result.routing.length * max(sample) * result.routing.stride
+        from repro.core.kernels.ear import pulse_bound
+
+        expected_pulses = pulse_bound(sample, result.routing)
         if result.virtual.total_pulses[b] != expected_pulses:
             problems.append(
                 f"total pulses {result.virtual.total_pulses[b]} != "

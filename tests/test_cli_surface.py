@@ -134,6 +134,8 @@ REFUSALS = [
      "sweep --workload placements --no-fleet ignores --backend; drop them"),
     ("sweep --workload whp --n 4 --trials 8 --no-fleet --backend numpy",
      "sweep --workload whp --no-fleet ignores --backend; drop them"),
+    ("sweep --workload whp --n 4 --trials 8 --no-fleet --processes 2",
+     "sweep --workload whp --no-fleet ignores --processes; drop them"),
     ("compute --ids 14,3,27 --inputs 18,22,19 --leader 2",
      "compute --ids ignores --leader; drop them"),
     ("simulate --ids 4,9,2 --value 7 --inputs 1,2,3",

@@ -235,6 +235,8 @@ class TestBackendBitIdentity:
             a.sigma_cw,
             a.sigma_ccw,
             a.term_pulse_sent,
+            a.rounds,
+            a.lap_skips,
         ) == (
             b.leaders,
             b.states,
@@ -244,6 +246,8 @@ class TestBackendBitIdentity:
             b.sigma_cw,
             b.sigma_ccw,
             b.term_pulse_sent,
+            b.rounds,
+            b.lap_skips,
         )
 
     @given(case=flipped_rings(), scheduler=st.sampled_from(SCHEDULERS))
@@ -255,11 +259,12 @@ class TestBackendBitIdentity:
         b = run_nonoriented_fleet(
             [ids], flip_lists=[flips], backend="python", scheduler=scheduler
         )
-        assert (a.leaders, a.states, a.total_pulses, a.cw_port_labels) == (
-            b.leaders,
-            b.states,
-            b.total_pulses,
-            b.cw_port_labels,
+        assert (
+            a.leaders, a.states, a.total_pulses, a.cw_port_labels, a.rounds,
+            a.lap_skips,
+        ) == (
+            b.leaders, b.states, b.total_pulses, b.cw_port_labels, b.rounds,
+            b.lap_skips,
         )
 
     @given(

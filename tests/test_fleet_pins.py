@@ -13,8 +13,11 @@ cell:
 * the observer stream — every :class:`FleetRoundView` field of every
   view, columns converted to lists, in call order.
 
-``rounds`` and ``lap_skips`` depend on the batching, which differs
-between the backends, so each backend has its own pins.  The lockstep
+``rounds`` and ``lap_skips`` count the same block-wide steps on both
+backends (``test_fleet_differential.py`` compares them), but the
+``backend`` field differs, and the observer sees one instance per view
+on pure Python and the whole block on NumPy, so each backend has its
+own pins.  The lockstep
 pool has IDs up to 10^4 on ``n = 8`` rings, so whole-lap skips and
 Algorithm 2's hop-skips fire; the seeded scheduler never skips and runs
 ``O(IDmax)`` rounds, so its pool keeps the IDs small.  Warmup and
@@ -180,11 +183,11 @@ def _anonymous_digest(backend):
 #: (result sha256, observer-stream sha256) per cell.
 PINS = {
     "warmup/lockstep/python/0": (
-        "dd9ce2453332b9813213dc61da91098d234561cc711f8a53e28751278c5e4632",
+        "f4d53c6a241a7790a82f54fcf4863e8af4475ac210566fe64cd2a42a4118b3f5",
         "60c669bcae606491d8a7b955768ac06fab019dab3f0be83c34a05d02ce8b720d",
     ),
     "warmup/lockstep/python/5": (
-        "dd9ce2453332b9813213dc61da91098d234561cc711f8a53e28751278c5e4632",
+        "f4d53c6a241a7790a82f54fcf4863e8af4475ac210566fe64cd2a42a4118b3f5",
         "74516d52aaf84385209d9a3ec922c8bdef11d729ac2601d5ae3595c4c5dd01b7",
     ),
     "warmup/lockstep/numpy/0": (
@@ -212,11 +215,11 @@ PINS = {
         "0b1dbac52a3ccf03a5a0de317b0c9501ee801d91b6d9653abaffc906919e0241",
     ),
     "terminating/lockstep/python/0": (
-        "b19fb35200e0015ad5d945dc48046d8c92f862261948568508ee3e0fb46284bb",
+        "1f2da6516f2ee0c3fa8d6ac55041b2eccbfc2cff08105fbc85b324c02323c632",
         "55ea30cbf22b9347e3135b467001a499eeba1069a218e9663ac7b8ec27f69448",
     ),
     "terminating/lockstep/python/5": (
-        "b19fb35200e0015ad5d945dc48046d8c92f862261948568508ee3e0fb46284bb",
+        "1f2da6516f2ee0c3fa8d6ac55041b2eccbfc2cff08105fbc85b324c02323c632",
         "fcb71a2e939d8ee8f0d02e9a9447d13ee3abcaafd6b6c941ddd85507800d1cc2",
     ),
     "terminating/lockstep/numpy/0": (
@@ -244,11 +247,11 @@ PINS = {
         "3c96b3fccfecf03a26b02d75ee3b55ab154a641c5e784bf14a7e930e3d20417f",
     ),
     "nonoriented/lockstep/python/0": (
-        "a8ab43a7a6241a792091933917af820bd39ecdef4753ea8be772d5333fe7c95f",
+        "e1e069739bb1e2313fdbe8f77a5ccb9904bb0baf38ed2bb66a7157e8d21b8131",
         "b0cdae2a41377fd1af3a732ec9954ed462ade4a0d15ab78bf460fb281337a56e",
     ),
     "nonoriented/lockstep/python/5": (
-        "a8ab43a7a6241a792091933917af820bd39ecdef4753ea8be772d5333fe7c95f",
+        "e1e069739bb1e2313fdbe8f77a5ccb9904bb0baf38ed2bb66a7157e8d21b8131",
         "5c56da54291fa5af6a254e25b4fbdbdaec5faeb0d0f31cc6163659648ee9679c",
     ),
     "nonoriented/lockstep/numpy/0": (
@@ -291,7 +294,7 @@ EAR_PINS = {
 
 #: Result sha256 of one ``run_anonymous_fleet`` per backend.
 ANONYMOUS_PINS = {
-    "python": "6e5df9eb16de2317384fb4ffc3ccade901fb6be4c66e5fa0e1d3f894127e445c",
+    "python": "14dfac3ca676b34fa3eaf7d8e82e504774ec095356b758d3e1d3ef7c3dee1906",
     "numpy": "be8140f76549fff21e473a6ee397ba6d800c422f9fcb8232e438e6dffa54dc2a",
 }
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.analysis.complexity import algorithm2_pulses
 from repro.core.lower_bound import (
     expected_algorithm2_pattern,
     find_common_prefix_group,
@@ -12,7 +13,6 @@ from repro.core.lower_bound import (
     prefix_length,
     solitude_pattern,
     solitude_patterns,
-    theorem1_upper_bound,
 )
 from repro.core.terminating import TerminatingNode, run_terminating
 from repro.core.warmup import WarmupNode
@@ -101,13 +101,13 @@ class TestBoundFormulas:
     def test_upper_bound_dominates_lower_bound(self):
         for n in (1, 2, 4, 16):
             for id_max in (n, 2 * n, 64 * n, 1024 * n):
-                assert theorem1_upper_bound(n, id_max) > lower_bound_pulses(
+                assert algorithm2_pulses(n, id_max) > lower_bound_pulses(
                     n, id_max
                 )
 
     def test_upper_bound_requires_feasible_idmax(self):
         with pytest.raises(ConfigurationError):
-            theorem1_upper_bound(8, 5)
+            algorithm2_pulses(8, 5)
 
     def test_measured_cost_between_bounds(self):
         # Every actual run of Algorithm 2 sits between Theorem 4's floor
@@ -122,5 +122,5 @@ class TestBoundFormulas:
             assert (
                 lower_bound_pulses(n, max(ids))
                 <= outcome.total_pulses
-                == theorem1_upper_bound(n, max(ids))
+                == algorithm2_pulses(n, max(ids))
             )

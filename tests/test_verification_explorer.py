@@ -55,7 +55,10 @@ class TestAlgorithm1Exhaustive:
             for node in nodes:
                 assert node.rho_cw <= 3  # Corollary 14 with IDmax = 3
 
-        result = explore_all_schedules(warmup_factory([1, 3, 2]), invariant=invariant)
+        result = explore_all_schedules(
+            warmup_factory([1, 3, 2]),
+            invariant_hooks=(lambda view: invariant(view.network.nodes),),
+        )
         assert len(observed) == result.states_explored
 
     def test_violated_invariant_aborts(self):
@@ -63,7 +66,10 @@ class TestAlgorithm1Exhaustive:
             assert all(node.rho_cw < 2 for node in nodes)  # false eventually
 
         with pytest.raises(AssertionError):
-            explore_all_schedules(warmup_factory([1, 3, 2]), invariant=invariant)
+            explore_all_schedules(
+                warmup_factory([1, 3, 2]),
+                invariant_hooks=(lambda view: invariant(view.network.nodes),),
+            )
 
     def test_max_in_flight_equals_initial_pulse_count(self):
         # Algorithm 1 never increases the number of circulating pulses,
