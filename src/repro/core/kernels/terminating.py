@@ -14,9 +14,12 @@ the line-14 trigger can see), :math:`\\rho_{ccw} \\to \\mathsf{ID}`
 (absorption + trigger), and :math:`\\rho_{ccw} \\to \\rho_{cw} + 1` (the
 line-18 exit flips exactly there) — so the trigger and exit are
 evaluated at every state where their truth can change and the chunked
-loop is bit-exact with the per-pulse one.  With single-pulse deliveries
-every chunk degenerates to one pulse, so per-pulse engines observe the
-legacy send interleaving exactly.
+loop is bit-exact with the per-pulse one (single-pulse deliveries make
+every chunk one pulse).  The fleet's column form, :func:`drain_block_np`,
+runs one iteration per pass on a whole block and stops at its fixed
+point: after the first pass, once no live cell has takeable work.  A pass
+runs line 10, the trigger and the exit on the state its takes leave, so
+a later pass that takes nothing changes nothing.
 
 Exact bound (Theorem 1): total pulses :math:`n(2\\,\\mathsf{ID}_{max}+1)`.
 
@@ -274,64 +277,61 @@ class TerminatingColumns:
 
 
 def drain_block_np(np: Any, cols: TerminatingColumns) -> None:
-    """Vectorized :func:`drain` over whole-fleet columns (mutates
-    ``cols``); strict-lag semantics only (the fleet has no ablation)."""
+    """Vectorized :func:`drain` over whole-fleet columns, updated in place;
+    strict-lag only (the fleet has no ablation).  A pass is one loop
+    iteration on every live cell and skips a branch no cell has work for.
+    After the first pass it returns once no live cell has takeable work
+    (``pend_cw > 0``, or ``rho_cw >= ID`` and ``pend_ccw > 0``).  That is
+    exact: a cell with work takes a pulse, and every pass ends by running
+    lines 10, 14-15 and 18 on what its takes left, so a pass that takes
+    nothing from a cell leaves it as it is."""
     ids = cols.ids
+    first = True
     while True:
         live = ~cols.terminated
-        # CW chunk (listing lines 3-8), boundary at rho_cw -> ID.
-        has_cw = live & (cols.pend_cw > 0)
-        below = cols.rho_cw < ids
-        take = np.where(
-            has_cw,
-            np.where(below, np.minimum(cols.pend_cw, ids - cols.rho_cw), cols.pend_cw),
-            0,
-        )
-        start = cols.rho_cw
-        cols.rho_cw = cols.rho_cw + take
-        absorbed = has_cw & (start < ids) & (ids <= cols.rho_cw)
-        relays = take - absorbed
-        cols.sends_cw += relays
-        cols.sigma_cw += relays
-        cols.pend_cw -= take
-        progressed = has_cw
-        # CCW chunk (lines 9-13), gated on rho_cw >= ID; boundaries at
-        # rho_ccw -> ID and rho_ccw -> rho_cw + 1.
-        gate = live & (cols.rho_cw >= ids)
-        start_now = gate & (cols.sigma_ccw == 0)
-        cols.sends_ccw += start_now  # line 10: CCW instance's initial pulse
-        cols.sigma_ccw += start_now
-        has_ccw = gate & (cols.pend_ccw > 0)
-        take2 = np.where(has_ccw, cols.pend_ccw, 0)
-        take2 = np.where(
-            has_ccw & (cols.rho_ccw < ids),
-            np.minimum(take2, ids - cols.rho_ccw),
-            take2,
-        )
-        take2 = np.where(
-            has_ccw & (cols.rho_ccw <= cols.rho_cw),
-            np.minimum(take2, cols.rho_cw + 1 - cols.rho_ccw),
-            take2,
-        )
-        start2 = cols.rho_ccw
-        cols.rho_ccw = cols.rho_ccw + take2
-        absorbed2 = has_ccw & (start2 < ids) & (ids <= cols.rho_ccw)
-        relays2 = np.where(cols.term_sent, 0, take2 - absorbed2)
-        cols.sends_ccw += relays2
-        cols.sigma_ccw += relays2
-        cols.pend_ccw -= take2
-        progressed |= has_ccw
-        # Lines 14-15: the unique leader event emits the term pulse.
-        trigger = live & ~cols.term_sent & (cols.rho_cw == ids) & (cols.rho_ccw == ids)
-        cols.term_sent |= trigger
-        cols.sends_ccw += trigger
-        cols.sigma_ccw += trigger
-        # Line 18: exit on rho_ccw > rho_cw.
-        exits = live & (cols.rho_ccw > cols.rho_cw)
-        cols.terminated |= exits
-        cols.out_leader |= exits & (cols.rho_cw == ids)
-        if not progressed.any():
+        cw = live & (cols.pend_cw > 0)
+        if took_cw := cw.any():  # CW chunk (lines 3-8), capped by the gap to ID
+            gap = ids - cols.rho_cw
+            below = gap > 0
+            take = np.where(below, np.minimum(cols.pend_cw, gap), cols.pend_cw)
+            np.putmask(take, cols.terminated, 0)
+            cols.rho_cw += take
+            cols.pend_cw -= take
+            take -= (take == gap) & below  # relays: all but an absorbed one
+            cols.sends_cw += take
+            cols.sigma_cw += take
+        gate = live & (cols.rho_cw >= ids)  # CCW chunk (lines 9-13) gate
+        ccw = gate & (cols.pend_ccw > 0)
+        took_ccw = ccw.any()
+        if not (first or took_cw or took_ccw):
             return
+        first = False
+        start_now = gate & (cols.sigma_ccw == 0)
+        if start_now.any():  # line 10: the CCW instance's initial pulse
+            cols.sends_ccw += start_now
+            cols.sigma_ccw += start_now
+        if took_ccw:
+            # The gap to ID (absorption, trigger) while rho_ccw is below it,
+            # else to rho_cw + 1 (the exit); ID <= rho_cw on a gated cell.
+            below = cols.rho_ccw < ids
+            gap = np.where(below, ids, cols.rho_cw + 1) - cols.rho_ccw
+            take = np.where(gap > 0, np.minimum(cols.pend_ccw, gap), cols.pend_ccw)
+            np.putmask(take, ~ccw, 0)
+            cols.rho_ccw += take
+            cols.pend_ccw -= take
+            take -= (take == gap) & below
+            np.putmask(take, cols.term_sent, 0)  # line 13 relays
+            cols.sends_ccw += take
+            cols.sigma_ccw += take
+        trigger = live & ~cols.term_sent & (cols.rho_cw == ids) & (cols.rho_ccw == ids)
+        if trigger.any():  # lines 14-15: the leader event sends the term pulse
+            cols.term_sent |= trigger
+            cols.sends_ccw += trigger
+            cols.sigma_ccw += trigger
+        exits = live & (cols.rho_ccw > cols.rho_cw)  # line 18: the exit
+        if exits.any():
+            cols.terminated |= exits
+            cols.out_leader |= exits & (cols.rho_cw == ids)
 
 
 def ccw_skip_margins_np(np: Any, ids: Any, rho_cw: Any, rho_ccw: Any) -> Any:
