@@ -10,13 +10,11 @@ object).  Everything runs on the pure-Python fleet backend, so the
 curve's ``backend`` label and every digest are the same with or
 without NumPy.
 
-Seeded schedules depend on how the samples are split into fleet blocks,
-and a farm campaign splits them by its shard size rather than by
-worker, so the seeded curves' direct and farm digests are pinned
-separately.  At 7 samples in blocks of 2 over 2 workers both splits
-give the blocks [0, 1], [2, 3], [4, 5], [6] and the digests agree; in
-blocks of 3 the workers give [0, 1, 2], [3], [4, 5, 6] against the
-farm's [0, 1, 2], [3, 4, 5], [6], and they differ.
+A farm run, cold or warm, must give the direct digest.  Every instance
+draws its seeded schedule and its fault rolls from its global index, so
+the cut does not matter: at 7 samples in blocks of 3 the two workers
+run [0, 1, 2], [3], [4, 5, 6] and the farm [0, 1, 2], [3, 4, 5], [6],
+and both give the same seeded curve.
 """
 
 from __future__ import annotations
@@ -140,26 +138,9 @@ DIRECT = {
     "plan-crash-drop": "c240e273ab0ed76757b58e27dc22749020335c2a6dacecd2d81c0e2887a23448",
 }
 
-FARM = {
-    "placements-fleet-p1": "195cff8a013088171d20fb6385c7b14d560822e31462e2a648488fcec273752a",
-    "placements-fleet-p2": "195cff8a013088171d20fb6385c7b14d560822e31462e2a648488fcec273752a",
-    "whp-fleet-wilson": "ae9bd0df94f780dd6221df415c9e221ac929790ab5ab73456e12d048c22702ae",
-    "whp-fleet-clopper-pearson": "55b9f9dba295082bca472f606db394f639b1135981a1a187459e1a6b54323d3f",
-    "whp-fleet-p2": "ae9bd0df94f780dd6221df415c9e221ac929790ab5ab73456e12d048c22702ae",
-    "degradation-drop": "87888be83db3a6b17e285ecf43182739bffae058bddd7508d98dbe77fd039e83",
-    "degradation-duplicate": "4bf013f540aa4c66dfdb2bada58b3c3e42f8da5c0f9c4f3d2b2bf29a3c3d895c",
-    "degradation-spurious": "d2e2f9e453f61459aaf282f907248625315d3eeec5dfca16410dea806b892468",
-    "degradation-crash": "c3b25c41360bffac41d26ca325866f2ebefcd62dc4cdb2558899d8ed999b5b06",
-    "degradation-seeded": "42df67c4625270fcad64f903251adcc217be7f6c001c38afc062ba320ef7dc27",
-    "degradation-seeded-split": "2ff5cc389eec503abffbe6cd79b136c254848a4613cb21b20d4129c4620a9c6b",
-    "plan-trivial": "e3c981cc42ea1f7f5976d7f112066acaf5f0db4413f2693ea5b4defdb6d41b8b",
-    "plan-crash-drop": "c240e273ab0ed76757b58e27dc22749020335c2a6dacecd2d81c0e2887a23448",
-}
-
 
 def test_every_farm_path_is_pinned():
     assert sorted(DIRECT) == sorted(CASES)
-    assert sorted(FARM) == sorted(name for name, (_, farm) in CASES.items() if farm)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -172,11 +153,13 @@ def _objects(root: Path) -> list:
     return sorted(str(path) for path in (root / "objects").rglob("*.json"))
 
 
-@pytest.mark.parametrize("name", sorted(FARM))
+@pytest.mark.parametrize(
+    "name", sorted(name for name, (_, farm) in CASES.items() if farm)
+)
 def test_farm_cold_then_warm(name, tmp_path):
     call, _farm = CASES[name]
     cold = _digest(call(tmp_path))
     stored = _objects(tmp_path)
     warm = _digest(call(tmp_path))
-    assert (cold, warm) == (FARM[name], FARM[name])
+    assert (cold, warm) == (DIRECT[name], DIRECT[name])
     assert stored and _objects(tmp_path) == stored

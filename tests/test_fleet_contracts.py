@@ -100,18 +100,20 @@ class TestNumpyHashTwins:
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**64 - 1),
+        instance_offset=st.integers(min_value=1, max_value=2**32),
         round_index=st.integers(min_value=0, max_value=2**32),
     )
-    def test_schedule_bit(self, seed, round_index):
+    def test_schedule_bit(self, seed, instance_offset, round_index):
         from repro.faults.model import mix64
 
         rows, channels = 3, 8
-        got = _np_schedule_bits(mix64(seed), rows, round_index, channels)
+        got = _np_schedule_bits(mix64(seed), instance_offset, rows,
+                                round_index, channels)
         assert got.shape == (rows, channels) and got.dtype == bool
         for b in range(rows):
             for c in range(channels):
                 assert bool(got[b, c]) == bool(
-                    schedule_bit(seed, b, round_index, c)
+                    schedule_bit(seed, instance_offset + b, round_index, c)
                 )
 
     def test_certain_rate_threshold(self):

@@ -177,25 +177,25 @@ PINS = {
     "warmup/lockstep/rates_burst":
         "ec1e6282f34d8b3aec11b7b0e1d8361394c2f0412c917d7e9aa338b4e5413591",
     "warmup/seeded/corrupt_rho_cw":
-        "c3de5e592ada686d487d9783029d05fc35c1b948ac7bd07c2578b1fe4ed1d8bd",
+        "f3ecd6e6d90802239ade082d53f043cf5c28b465c077fd3b9286573f2e477a26",
     "warmup/seeded/corrupt_sigma_cw":
         "65d8237cdb66df15a084325bae1b94293927eedf2d5e718b087ac756d78406af",
     "warmup/seeded/crash_permanent":
-        "0e7552652fd69dc5220dd6a78770f3140c172cbb2dbc2a7630aeb6b43b007076",
+        "ac99937e16b08ec4322a1058a6c8c16a59064932cdf3ded2ee58a5df560a853d",
     "warmup/seeded/crash_rate":
         "11f4a935c32fcf31372a3108c29f89c8cab2d98484fd24898a5b052c6135dca1",
     "warmup/seeded/crash_restart":
-        "02027a5e3d85155ad652c306688573babb422f1367aaa3680a9af5e190b91a29",
+        "e7c232f04a7ce4a9809afe13a1d1e2f963fbd89e24cdc6e0004efb7b9231d871",
     "warmup/seeded/drop_cw":
-        "6f8b6520e90b8e2070fe999e8eb4a90962893202b3624afd25509f2f17a15e3a",
+        "8ed82735494b78226f54c752b15860690a88363f6bd58f933c6432597df3064d",
     "warmup/seeded/group_at_round":
-        "25b5efc378406b85832bc87b06d732ce2b55a30c077fb110d39f64f41b2f2d98",
+        "7ba5eac1b7e18f4f1f1c98d30104d60b03eb3455c8ede4c13d97f0655dac7ae3",
     "warmup/seeded/group_threshold":
-        "bef4fd06d0bbfb36f10926a6dbc2eb26d26b0126bfa3b9e0546bc5fae26fc182",
+        "e2c42e7f052879c674070a7c7204d8b6035952471d60d11d70a729681e16f92f",
     "warmup/seeded/instance_targeted":
-        "6855f6cd2ddba8771b55a947ec4aedcf60c6024ddf3025f6f0d58765578ca93c",
+        "5e52fe5eb4da58edc3827016adf52dbb854f9dc24313a91ef264645f359cffbd",
     "warmup/seeded/rates_burst":
-        "3afe6ad3e91f33e1765d6620b6ee93bba8aebeac2ae16462e8fb3bde8ff8f001",
+        "0d25656f3b47585f9a77fce55b99c66be3ac2f2d87086e0e590b282c0700a9dd",
     "terminating/lockstep/corrupt_pending_ccw":
         "bbbbf64bdd2b66c6cb59d8a970430ace46bdae075a38cf66db8bd3a6f5a457a8",
     "terminating/lockstep/corrupt_pending_cw":
@@ -227,35 +227,35 @@ PINS = {
     "terminating/lockstep/rates_burst":
         "5d0ea0b441cc37bbe6535836d40ae705a9d8ed1d42fada26da6546bdcadd8e45",
     "terminating/seeded/corrupt_pending_ccw":
-        "ebfd433da48a68e2f19c33996a8496f860407819ab6d9d6539e6020580750ec6",
+        "eb8c0b06013bf334d7316075ad2595f69b1e40760db6f75f48a9d341899cad6a",
     "terminating/seeded/corrupt_pending_cw":
-        "df3abc78c112bcce8cd824407bc383ad763bf1212aa925e687783ccc5054faab",
+        "08a77de45e93f2c5e631cb03088cd76f025a61ff6f12f728ca90f83ece6a8093",
     "terminating/seeded/corrupt_rho_ccw":
-        "dc6d71a235f16d23390f330bc69a7f3c6c00539e7c96a10acbbc301a2497868c",
+        "7de3b1fa7c4d3c6ff118874508bc0e2dc65918b1d1e8a9a1988f52dfd1d66db2",
     "terminating/seeded/corrupt_rho_cw":
-        "2c535769009ca892de3ea6f31aa4b7ce2b51297ab1e927af0f29cd83dfc1f472",
+        "befc4769492f51a6ab584eef642bd2a371ba01e1b7c62d4e2d664b32e79af096",
     "terminating/seeded/corrupt_sigma_ccw":
-        "021197e22cb120b241a5da001370553bf7b3dce8479e8a18913a5656a8059cd3",
+        "c7f3c8b3d7a490bf4ee399ee0453a4ff3f263009ab235f8705dc71c6639b82ba",
     "terminating/seeded/corrupt_sigma_cw":
         "ac49aa9ec96136ba761ebe94769bc78859121759f905eb1d094946047ce2acf8",
     "terminating/seeded/crash_permanent":
-        "b5ba41de510b86345edf0c04b00457b261f36e74287cd4a18c57f59789e97501",
+        "976108701b828603c3e1ac42504e15319037e06d60a675e61b1463e64c13f10b",
     "terminating/seeded/crash_rate":
         "b6525d7bb5b7f0cac8ed4b96743bc6d5f1c0fc9a6b565679ddc0f4ab99307197",
     "terminating/seeded/crash_restart":
-        "26ca18cedfb725c51c6534ee7b5a0e5ec2e911bd610cb47b1cd74a613567358c",
+        "9f4df287e3c029e32256b0493be6a553224cdb85e54baf14068f57dd8abcba2d",
     "terminating/seeded/drop_ccw":
-        "b9ebbe1ab1f3c0005daaaa101098e2c528f1b7fb16d335f41579ce59bc79f700",
+        "8ab96c4b3a739b463dba3e18958efa442c31e6093ea718ecb2ebdcdb2119aeff",
     "terminating/seeded/drop_cw":
-        "1b765fc6795cd190220e16e7ae7b716f98fc6202f27768b1e145e2700318afea",
+        "15abe0867049b41f996f05e65e68135b6d9ec390f3ff77a4ca3a3c0e99236ca5",
     "terminating/seeded/group_at_round":
-        "1a053fb7f7ef0f7f56b5e9114f01572575e719cf5a96f2150915ad74521d357e",
+        "e2228edecf42b2bcbb6f902a5bed1df0a797f719779f8ae9b8f05857a47aab4b",
     "terminating/seeded/group_threshold":
-        "8918096275be18835a5fe67fadd402225e14685ae3545cfea935c595a17dbb22",
+        "35f559834cd03cf50a50629347aa56cd7751de872b1b0a0ec6222cf0fb86fc83",
     "terminating/seeded/instance_targeted":
-        "81d4558561939b45335bd4788819bbf55eb671d383b8c66d1b7d63a71ca3fc69",
+        "62b497b7a720b6323429803868e4d0cdb718924bfa2907521cd76184f1545079",
     "terminating/seeded/rates_burst":
-        "207e62c2241edafd74be7e3280f7420b0eb666082ffdaa966c2d2a7d9fe8ba90",
+        "747164fce48c9100b7bfd277019ee8809777c2b99f8130f491d5a64a0a72f465",
     "nonoriented/lockstep/corrupt_rho_ccw":
         "aa25182cd3bdc7e4f2468ab1dddee7262a7e5f7d214f12ea98b7b5ce35bac463",
     "nonoriented/lockstep/corrupt_rho_cw":
@@ -283,31 +283,31 @@ PINS = {
     "nonoriented/lockstep/rates_burst":
         "3d27fa353703fccd736f020f29cc7c38f496fa9a37a58ce7d80f1c2112aa2e99",
     "nonoriented/seeded/corrupt_rho_ccw":
-        "b0f957fa733fae7a00466cfcdba9f40c6e1b94367041381b6aca204ea8a5adda",
+        "83076853ef2c18dea17ac2aebb794c97b53f8afa085c4191a4fe46d186e96236",
     "nonoriented/seeded/corrupt_rho_cw":
-        "89e818f85948cc54a3d5fbf56469ae756ea7ee7cd6c9a0fc7630dcc195692a12",
+        "baacb9ec37fdd2ea11f1f30664408e9c8fd5176b88ab7ddfc84cf7cb6e42008d",
     "nonoriented/seeded/corrupt_sigma_ccw":
         "71dc334d829261ab41bfe1c94a370a8705307df07eb93eca028a2874b88126d4",
     "nonoriented/seeded/corrupt_sigma_cw":
         "97dcde9b335b75f31df571d70c7741f645b194e3ab57239acadf976d89478148",
     "nonoriented/seeded/crash_permanent":
-        "c5a08dc95445c0b59c61af01e5ab03c3a13b66d3c8765360ff9f7f6ab5705187",
+        "095c0f0a090a0e616a15502c2f517f712e9736974c41212d442681f315230a94",
     "nonoriented/seeded/crash_rate":
         "59f866d9f7669c7d286a031b8619db90caf5a0139f00de06fb85d4818abc298a",
     "nonoriented/seeded/crash_restart":
-        "621334889ba8af0aeecde513beac37cf09880644d5800de9a530de2b1b1d307b",
+        "3655883e77d12f3560023e7b41ab72dfb69529afef444bc2d70d92248906c4e9",
     "nonoriented/seeded/drop_ccw":
-        "acd5510cbe75c5cae5c31bc556538c8ac0a903d9dcd3696c6dbbf71a6454ca38",
+        "0485317e6a76712f67e5c70f5ee2e10fb4ee12272cbbdbec8230c65f345f8925",
     "nonoriented/seeded/drop_cw":
-        "673b33819cd1efad4f57f357988f186fc26a4a3431d7efd12bb73cccb8ee0fe3",
+        "36d291dab324a421a1672f7e99a2c237722351c86b12368e684956590df43bee",
     "nonoriented/seeded/group_at_round":
-        "b476ac185040d9c016de1c6b3d520064038932574f40605b36593fcab8b58b9f",
+        "f6906dd97dace67253174c4bb43f1511791c4b4b456ab5c552c053c6f7700933",
     "nonoriented/seeded/group_threshold":
-        "912ae461b8401cd8c2939c72a306ed5afdcca0e08d99f56080eaeb4e6c487dda",
+        "33dbb1a676e4d3a42745dc127f5e151cf2393cd6fed51ba942db69926ced6fb9",
     "nonoriented/seeded/instance_targeted":
-        "66be9297efd46f3a62e76eaa91ccef0225aa1dc11cb079948b38210033d4043a",
+        "fd280b3cde9e5cac14bc79777f508cdbcc59db335cc8560fd98dc1478fce2b6c",
     "nonoriented/seeded/rates_burst":
-        "7ecaed969bfedce48988250eefab64ef18d6f61f525b4563fb399184be69a258",
+        "99f072016a997f5384996d3d8fc94c2386d8e8996b97497301d28300860fa11a",
 }
 
 

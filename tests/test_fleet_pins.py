@@ -203,16 +203,16 @@ PINS = {
         "cefc0e0f31f58ded6a38b148f0d89552064f20629f05136d4dab345e8a7e83bb",
     ),
     "warmup/seeded/python/5": (
-        "62d334b9ba59c836debfbeca12653b8190a01031b9f3540199e6f09fea1d376f",
-        "ab1762371250b07a6045d8ed8faecb21664a7ce9ab724a2576109d6c0b62465c",
+        "6c9cd6942775c028ac622bd1f1737a8431f27e3e221040186c125c3f377dc17d",
+        "ecf023a989be748c9a5c6dd284aa1289e30e229b9baa0bc93a82472519d8c076",
     ),
     "warmup/seeded/numpy/0": (
         "f146c2f5553ea4581f7bd052c31fccae086abf0fa4aebdd40344333a1deff7a8",
         "3a632c7d9415fde09b179f03d4c26b2b7b34136d642f235f6335318a59805671",
     ),
     "warmup/seeded/numpy/5": (
-        "f146c2f5553ea4581f7bd052c31fccae086abf0fa4aebdd40344333a1deff7a8",
-        "0b1dbac52a3ccf03a5a0de317b0c9501ee801d91b6d9653abaffc906919e0241",
+        "f1574e10339e9a62493412da1b02fd4b0910bcf1b7294e5be5d0c948258f7082",
+        "d7e96d8c6033a5ec1d664987ea86df4201f2d8ee81500978f8154e48a2b6b791",
     ),
     "terminating/lockstep/python/0": (
         "1f2da6516f2ee0c3fa8d6ac55041b2eccbfc2cff08105fbc85b324c02323c632",
@@ -235,16 +235,16 @@ PINS = {
         "cd82621c940d0c03a0d1c2b57069f770c8801985cddd228d9cee192a0d0284bb",
     ),
     "terminating/seeded/python/5": (
-        "35a0a0c8b722403fdbcaffd905584ac4baf885c429f42afecbea8e0683b56f89",
-        "83e05fa39b5a13d8ee72ef3cfac16630a632d5874395e6e62e44dd0a06ab7e9b",
+        "14db4c02c715513987ee0d700e75ec37db4a70757eccec7e909bc65340da11da",
+        "689471cd744b4365c71a8b06d364278efa300cd206d7aacff779f7eed530efc6",
     ),
     "terminating/seeded/numpy/0": (
         "e3eda46a1719b0e5e07c97f093ce13bf5612b0f4ea61c38440bd75c239b1aa3a",
         "dffa6eb86caad0bf17b036aadc592d42d6764c32dadebf7a1ba9e1c189836796",
     ),
     "terminating/seeded/numpy/5": (
-        "e3eda46a1719b0e5e07c97f093ce13bf5612b0f4ea61c38440bd75c239b1aa3a",
-        "3c96b3fccfecf03a26b02d75ee3b55ab154a641c5e784bf14a7e930e3d20417f",
+        "45d6fad972efdf73bf66052deae7697323b89f13828c8bb193c85932733a3131",
+        "eb2599d80b21d169da8597eff65c0bac25f4504e5c6b4d1c40cd756cd0823d27",
     ),
     "nonoriented/lockstep/python/0": (
         "e1e069739bb1e2313fdbe8f77a5ccb9904bb0baf38ed2bb66a7157e8d21b8131",
@@ -267,16 +267,16 @@ PINS = {
         "4f2ec17be9b55a08d1e3439d3ae6fa4129e19a817c6c5c1c820ec6dd456e98a0",
     ),
     "nonoriented/seeded/python/5": (
-        "6653adf8ba4cc995811bea929ced98a4476afd8aedbcecba7a49fd27f15fe0cf",
-        "90f2f7f49b383f8429690773d14f5853a3df4b8733e5707d71be244d35bd73de",
+        "ec83bbd9daa8ebf732232194ce2ee55064028fd9eb0799ca52aac118d2c4bfd9",
+        "37a78d9113e772cce1675ed00f5a580bddbf9a7601d43be9ec0c8f3439876b0e",
     ),
     "nonoriented/seeded/numpy/0": (
         "b1f763bcf85f594cf1ae2f03d75081c67182ce70f924b8ceb79185d8b2aac1aa",
         "3131345529e2abcbf46d870af44fc826debb5e3fd3f9af275cc99475c6ea3e38",
     ),
     "nonoriented/seeded/numpy/5": (
-        "b1f763bcf85f594cf1ae2f03d75081c67182ce70f924b8ceb79185d8b2aac1aa",
-        "fe44cecd6aaeccc607f8f4b877cd112bc9f67f479e3a5e33a102a2204086f553",
+        "7db125e429d6611166c55db59c111a18b1fbe1533eb4bd5e9e884bdb43ead631",
+        "5620cd75a43092d1394c6eb28c2b4ecf2bd5450328937cb805fdb5d676cdf594",
     ),
 }
 

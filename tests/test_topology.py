@@ -133,13 +133,14 @@ class TestExplorerFingerprintPins:
 
 
 class TestFarmKeyPins:
-    """Ring farm keys are byte-identical to the pre-topology farm."""
+    """Ring farm keys, pinned at ``SEMANTICS_VERSION`` 2: only a bump of
+    that version moves them; the topology layer never does."""
 
     PINNED = {
-        "recovery": "c5ff63644d1e37f8fa8a505ed1a4c3e1a18a8dd52dd8c99d2b8a420945fa0061",
-        "whp": "7f5ee32c30b091ae2fa243f96edc12ebb2d5048ebfb09709414b1523f69d3123",
-        "placements": "676817ad1e9d7dc4fdc2d6ed23a5360ce108d72049d8c9dcf4baaa2cba030bd0",
-        "ear": "2310a7c6fbb2f29e2ba16a90bfd86000dd0ffe6cdc13ed5d192c11e3e70ac600",
+        "recovery": "1390c11ed934d6f5ead3b2d563946390b0457ce44bd1bda17a58409a261fdeec",
+        "whp": "ada4e9d24dfe9b418c8513ad7b416053f30468c11bb1040383bc1bf6eab41f81",
+        "placements": "145c3234282bb999c9b9015a2a90e47fefcfebf979367573eef7ba577a7c2ae7",
+        "ear": "bfca951ccd9f252d14c5663dc87fccbc59ad2803cecd32c1311141fbdf599859",
     }
 
     def test_recovery_key_unchanged(self):
