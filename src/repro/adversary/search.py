@@ -181,16 +181,8 @@ def evaluate_plan(
         block_size=settings.block_size,
         confidence=settings.confidence,
     )
-    return PlanEvaluation(
-        plan=plan,
-        samples=summary["samples"],
-        recovered=summary["recovered"],
-        wrong_stable=summary["wrong_stable"],
-        stuck=summary["stuck"],
-        rate_low=summary["rate_low"],
-        rate_high=summary["rate_high"],
-        fault_events=dict(summary["fault_events"]),
-    )
+    del summary["non_recovered"]
+    return PlanEvaluation(plan=plan, **summary)
 
 
 class _Memo:

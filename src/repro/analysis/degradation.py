@@ -166,10 +166,8 @@ def measure_degradation(
     through the sweep farm (:mod:`repro.farm`): each (rate, shard-range)
     cell becomes a content-addressed job, cached cells are reused
     (including cells a standalone recovery campaign already computed),
-    and the curve is collected from the store.  Under the ``lockstep``
-    scheduler both give the same curve; under ``seeded`` the outcomes
-    depend on the split into blocks, which the farm draws by its shard
-    size (ROADMAP item 7).
+    and the curve is collected from the store.  Both give the same
+    curve, under either scheduler.
     """
     from repro.accel import resolve_backend
     from repro.farm import Campaign, degradation_params, run_campaign

@@ -564,7 +564,7 @@ def _print_check_report(report, rows, counterexample_lines, passed: str) -> int:
     for ce in report.counterexamples:
         for line in counterexample_lines(ce):
             print(line)
-        reproduced = ce.replay() is not None
+        reproduced = ce.reproduces()
         print(_row("  replay reproduces", "yes" if reproduced else "NO"))
         all_reproduce = all_reproduce and reproduced
     ok = report.holds and all_reproduce

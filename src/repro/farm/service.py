@@ -411,10 +411,10 @@ def run_campaign(
     are collected from the store.  Without it, nothing is stored: each
     grid point's ``range(total)`` is split into one contiguous range per
     worker (:func:`~repro.analysis.parallel.shard_evenly`, not the
-    campaign's ``shard_size``: fewer, larger fleets, and the split the
-    direct sweeps have always used, which seeded schedules depend on),
-    each range runs through the same :func:`~repro.farm.workloads.run_shard`,
-    and the payloads fold through the same table
+    campaign's ``shard_size``: fewer, larger fleets; the cut changes no
+    outcome), each range runs through the same
+    :func:`~repro.farm.workloads.run_shard`, and the payloads fold
+    through the same table
     (:data:`~repro.farm.workloads.FOLDS`).  ``collect_kwargs`` are
     :func:`~repro.farm.workloads.collect_options`'s, validated, like
     the campaign, before any shard runs.

@@ -17,10 +17,8 @@ Each workload contributes:
   dicts), and lays that object out as JSON for ``farm collect``.
 
 Every per-index outcome is a pure function of ``(params, index)`` (the
-counter streams), so a fold over any shard partition gives the same
-stats — except under the ``seeded`` scheduler, whose schedule is keyed
-on an instance's row within its fleet block, so its outcomes follow the
-partition into shards and blocks (ROADMAP item 7).
+counter streams, the seeded schedule's included), so a fold over any
+shard partition gives the same stats.
 
 The ``backend`` and ``block_size`` arguments are execution knobs only:
 they are deliberately *not* part of the shard parameters that cache
@@ -271,51 +269,39 @@ def _gather(payloads: List[Mapping[str, Any]], key: str, total: int) -> List[Any
     return items
 
 
-def _recovery_summary(
+def _recovery_tally(
     payloads: List[Mapping[str, Any]], samples: int, confidence: float
-) -> Dict[str, Any]:
-    """One grid point's summary: classification counts, merged fault
-    events, the non-recovered list in index order, and the exact
-    Clopper–Pearson interval on the recovered count."""
-    from repro.analysis.stats import clopper_pearson_interval
-    from repro.faults.fleet import merge_events
-    from repro.verification.statistical import RECOVERY_CLASSES
+) -> Any:
+    """:func:`~repro.verification.statistical.tally` over one grid
+    point's recovery payloads."""
+    from repro.verification.statistical import RECOVERY_CLASSES, tally
 
-    counts = {name: 0 for name in RECOVERY_CLASSES}
-    events: Dict[str, int] = {}
-    for payload in payloads:
-        for name in RECOVERY_CLASSES:
-            counts[name] += payload["counts"][name]
-        if payload["fault_events"]:
-            events = merge_events(events, payload["fault_events"])
-    classified = sum(counts.values())
-    if classified != samples:
-        raise ConfigurationError(
-            f"aggregation mismatch: shards classified {classified} "
-            f"instances, campaign expects {samples}"
-        )
-    non_recovered = sorted(
-        [int(index), str(label), str(message)]
-        for payload in payloads
-        for index, label, message in payload["non_recovered"]
+    return tally(
+        RECOVERY_CLASSES,
+        samples,
+        [
+            (sum(p["counts"].values()), p["non_recovered"], p["fault_events"])
+            for p in payloads
+        ],
+        confidence,
     )
-    low, high = clopper_pearson_interval(
-        counts["recovered"], samples, confidence=confidence
-    )
-    return {
-        "samples": samples,
-        "recovered": counts["recovered"],
-        "wrong_stable": counts["wrong_stable"],
-        "stuck": counts["stuck"],
-        "rate_low": low,
-        "rate_high": high,
-        "fault_events": dict(events),
-        "non_recovered": non_recovered,
-    }
 
 
 def _fold_recovery(campaign: Any, points: List[Any], options: Mapping[str, Any]) -> Any:
-    return _recovery_summary(points[0], campaign.total, options["confidence"])
+    """One grid point's summary: classification counts, merged fault
+    events, the non-recovered list in index order, and the exact
+    Clopper–Pearson interval on the recovered count."""
+    counts, failures, events, (low, high) = _recovery_tally(
+        points[0], campaign.total, options["confidence"]
+    )
+    return {
+        "samples": campaign.total,
+        **counts,
+        "rate_low": low,
+        "rate_high": high,
+        "fault_events": events,
+        "non_recovered": [list(failure) for failure in failures],
+    }
 
 
 def _fold_degradation(
@@ -326,10 +312,14 @@ def _fold_degradation(
     from repro.analysis.degradation import DegradationCurve, DegradationPoint
 
     params = campaign.params
-    summaries = [
-        _recovery_summary(payloads, campaign.total, options["confidence"])
-        for payloads in points
-    ]
+    curve = []
+    for rate, payloads in zip(params["rates"], points):
+        counts, _failures, events, (low, high) = _recovery_tally(
+            payloads, campaign.total, options["confidence"]
+        )
+        curve.append(DegradationPoint(
+            rate, campaign.total, **counts, low=low, high=high, fault_events=events
+        ))
     return DegradationCurve(
         algorithm=params["algorithm"],
         kind=params["kind"],
@@ -339,19 +329,7 @@ def _fold_degradation(
         seed=params["seed"],
         backend=options["backend_label"],
         scheduler=params["scheduler"],
-        points=[
-            DegradationPoint(
-                rate=rate,
-                samples=summary["samples"],
-                recovered=summary["recovered"],
-                wrong_stable=summary["wrong_stable"],
-                stuck=summary["stuck"],
-                low=summary["rate_low"],
-                high=summary["rate_high"],
-                fault_events=dict(summary["fault_events"]),
-            )
-            for rate, summary in zip(params["rates"], summaries)
-        ],
+        points=curve,
     )
 
 
@@ -392,30 +370,25 @@ def _fold_placements(
 def _fold_ear(campaign: Any, points: List[Any], options: Mapping[str, Any]) -> Any:
     """The ear contract summary: the violation list in index order and
     the exact Clopper–Pearson interval on the clean count."""
-    from repro.analysis.stats import clopper_pearson_interval
+    from repro.verification.statistical import TopologyCheck, tally
 
-    samples = campaign.total
-    checked = sum(int(payload["samples"]) for payload in points[0])
-    if checked != samples:
-        raise ConfigurationError(
-            f"aggregation mismatch: shards checked {checked} "
-            f"instances, campaign expects {samples}"
-        )
-    violations = sorted(
-        [int(index), str(message)]
-        for payload in points[0]
-        for index, message in payload["violations"]
-    )
-    low, high = clopper_pearson_interval(
-        samples - len(violations), samples, confidence=options["confidence"]
+    failed = TopologyCheck.classes[-1]
+    _counts, failures, _events, (low, high) = tally(
+        TopologyCheck.classes,
+        campaign.total,
+        [
+            (p["samples"], [(i, failed, m) for i, m in p["violations"]], None)
+            for p in points[0]
+        ],
+        options["confidence"],
     )
     return {
-        "samples": samples,
-        "violations": len(violations),
+        "samples": campaign.total,
+        "violations": len(failures),
         "rate_low": low,
         "rate_high": high,
-        "failures": violations,
-        "clean": not violations,
+        "failures": [[index, message] for index, _, message in failures],
+        "clean": not failures,
     }
 
 

@@ -50,9 +50,10 @@ check              contract                                classes
 Every instance outside the pass class becomes a :class:`Counterexample`
 carrying its check and global index; :meth:`Counterexample.replay`
 re-runs exactly that instance through the same engine, the only replay
-path.  Injected faults (:mod:`repro.faults`) roll counter-based
-per-pulse decisions keyed on the global index, so faulted instances
-replay too.
+path.  Injected faults (:mod:`repro.faults`) and the seeded schedule
+draw counter-based decisions keyed on the global index, so a faulted or
+seeded instance replays solo as it ran in its block, and any partition
+of the samples into shards and blocks gives the same :func:`tally`.
 
 Fault injection serves two roles:
 
@@ -77,6 +78,7 @@ from typing import (
     Callable,
     ClassVar,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -125,6 +127,9 @@ FaultArg = Optional[Union[PulseDrop, FaultModel]]
 
 #: ``(global index, class, message)`` of one instance outside the pass class.
 Failure = Tuple[int, str, str]
+
+#: Joins a counterexample's message to its forensic first invariant.
+_FIRST_INVARIANT = "; first violated invariant: "
 
 #: A per-round fleet hook (see :class:`repro.simulator.fleet.FleetRoundView`).
 Observer = Optional[Callable[[Any], None]]
@@ -568,7 +573,8 @@ class Counterexample:
 
     ``check`` (whose :attr:`~Check.name` tags the counterexample) and
     ``instance`` determine the run completely: :meth:`Check.sample`
-    rederives the instance, faults roll on the global index.
+    rederives the instance, faults and the seeded schedule key on the
+    global index.
     ``first_invariant`` names the first column invariant a forensic
     re-run violated, for checks that run without the per-round battery.
     """
@@ -582,24 +588,24 @@ class Counterexample:
     def replay(self) -> Optional[str]:
         """Re-run exactly this instance; its failure message, or None.
 
-        Determinism of the whole pipeline means a genuine counterexample
-        always reproduces.
+        Every stream keys on the global index, so a genuine
+        counterexample always reproduces (:meth:`reproduces`).
         """
-        failures, _events = _run_shard((self.check, [self.instance], 1, 1))
+        _size, failures, _events = _run_shard((self.check, [self.instance], 1, 1))
         return failures[0][2] if failures else None
+
+    def reproduces(self) -> bool:
+        """Whether :meth:`replay` fails with this counterexample's own
+        message, the first-invariant annotation aside."""
+        return self.replay() == self.message.partition(_FIRST_INVARIANT)[0]
 
 
 @dataclass
 class Report:
-    """Outcome of one :func:`run_check`.
-
-    ``counts`` holds every class of :attr:`Check.classes`, summing to
-    ``samples``; the rate interval is the exact Clopper–Pearson interval
-    at ``confidence`` for the pass-class count.  ``fault_events`` totals
-    the fault events applied across all runs (see
-    :data:`repro.faults.fleet.EVENT_KEYS`) of a check without
-    :attr:`~Check.bisect`; it stays empty for a bisecting check, whose
-    aborted runs report no events.
+    """Outcome of one :func:`run_check`: :func:`tally`'s counts,
+    interval (at ``confidence``) and fault events over ``samples``, and
+    the first counterexamples.  ``fault_events`` stays empty for a check
+    with :attr:`~Check.bisect`, whose aborted runs report no events.
     """
 
     check: Check
@@ -692,9 +698,10 @@ def _run_block(
 
 def _run_shard(
     job: Tuple[Check, Sequence[int], int, int],
-) -> Tuple[List[Failure], Dict[str, int]]:
-    """The one shard worker (picklable): the failures (index order) and
-    merged fault events over contiguous global ``indices``, in blocks."""
+) -> Tuple[int, List[Failure], Dict[str, int]]:
+    """The one shard worker (picklable): the size, the failures (index
+    order) and merged fault events of contiguous global ``indices``, run
+    in blocks."""
     check, indices, block_size, budget = job
     if not check.blocked:
         block_size = max(len(indices), 1)
@@ -706,15 +713,46 @@ def _run_shard(
         failures.extend(
             _run_block(check, block, chunk[0], budget - len(failures), events)
         )
-    return failures, merge_events(*events) if events else {}
+    return len(indices), failures, merge_events(*events) if events else {}
 
 
-def _counts(check: Check, total: int, failures: List[Failure]) -> Dict[str, int]:
-    counts = dict.fromkeys(check.classes, 0)
+def _counts(
+    classes: Sequence[str], total: int, failures: List[Failure]
+) -> Dict[str, int]:
+    counts = dict.fromkeys(classes, 0)
     for _index, label, _message in failures:
         counts[label] += 1
-    counts[check.classes[0]] = total - len(failures)
+    counts[classes[0]] = total - len(failures)
     return counts
+
+
+def tally(
+    classes: Sequence[str],
+    samples: int,
+    shards: Iterable[Tuple[int, Iterable[Sequence[Any]], Optional[Dict[str, int]]]],
+    confidence: float,
+) -> Tuple[Dict[str, int], List[Failure], Dict[str, int], Tuple[float, float]]:
+    """The one sampled-check tally (:func:`run_check`, the farm's
+    recovery and ear folds): ``(size, failures, fault events)`` per
+    shard of ``range(samples)`` folded into the counts, the failures in
+    index order, the merged fault events and the exact Clopper–Pearson
+    interval on the pass class.  Shards must cover ``samples``."""
+    shards = list(shards)
+    covered = sum(size for size, _failures, _events in shards)
+    if covered != samples:
+        raise ConfigurationError(
+            f"aggregation mismatch: shards cover {covered} instances, "
+            f"expected {samples}"
+        )
+    failures = sorted((i, c, m) for _size, part, _events in shards for i, c, m in part)
+    counts = _counts(classes, samples, failures)
+    events = [part for _size, _failures, part in shards if part]
+    return (
+        counts,
+        failures,
+        merge_events(*events) if events else {},
+        clopper_pearson_interval(counts[classes[0]], samples, confidence=confidence),
+    )
 
 
 def check_shard(
@@ -732,8 +770,8 @@ def check_shard(
     ``backend`` and ``block_size`` are bit-identical execution knobs.
     """
     indices = list(indices)
-    failures, events = _run_shard((check, indices, block_size, len(indices)))
-    return _counts(check, len(indices), failures), failures, events
+    size, failures, events = _run_shard((check, indices, block_size, len(indices)))
+    return _counts(check.classes, size, failures), failures, events
 
 
 def _first_violation(check: Check, index: int) -> Optional[str]:
@@ -763,7 +801,7 @@ def _counterexample(
 ) -> Counterexample:
     first = None if check.bisect else _first_violation(check, index)
     if first is not None:
-        message = f"{message}; first violated invariant: {first}"
+        message += _FIRST_INVARIANT + first
     return Counterexample(check, index, label, message, first)
 
 
@@ -797,28 +835,13 @@ def run_check(
         [(check, shard, block_size, max_counterexamples) for shard in shards],
         processes=processes,
     )
-    failures = sorted(
-        (failure for shard, _events in per_shard for failure in shard),
-        key=lambda failure: failure[0],
+    counts, failures, events, (low, high) = tally(
+        check.classes, samples, per_shard, confidence
     )
-    events = [shard_events for _failures, shard_events in per_shard if shard_events]
-    counts = _counts(check, samples, failures)
-    low, high = clopper_pearson_interval(
-        counts[check.classes[0]], samples, confidence=confidence
-    )
-    return Report(
-        check=check,
-        samples=samples,
-        counts=counts,
-        confidence=confidence,
-        rate_low=low,
-        rate_high=high,
-        fault_events=merge_events(*events) if events else {},
-        counterexamples=[
-            _counterexample(check, *failure)
-            for failure in failures[:max_counterexamples]
-        ],
-    )
+    examples = [
+        _counterexample(check, *failure) for failure in failures[:max_counterexamples]
+    ]
+    return Report(check, samples, counts, confidence, low, high, events, examples)
 
 
 def run_statistical_check(

@@ -149,6 +149,25 @@ class TestVerifyStatistical:
         assert code == 1
         assert message in out.splitlines()
 
+    def test_a_replay_with_another_message_does_not_reproduce(
+        self, capsys, monkeypatch
+    ):
+        from repro.verification.statistical import Counterexample
+
+        argv = (
+            "verify", "--statistical", "--recovery", "--samples", "4",
+            "--n", "4", "--id-max", "16", "--inject-drop-rate", "0.5",
+        )
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and "  replay reproduces  : yes" in out.splitlines()
+        monkeypatch.setattr(
+            Counterexample, "replay", lambda self: "instance 0: another failure"
+        )
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert "  replay reproduces  : NO" in out.splitlines()
+        assert out.splitlines()[-1] == "FAILED"
+
     def test_confidence_label_keeps_its_digits(self, capsys):
         code, out = run_cli(
             capsys, "verify", "--statistical", "--samples", "8", "--n", "4",

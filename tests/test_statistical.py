@@ -10,9 +10,12 @@ exact instance, and reproduced by :meth:`Counterexample.replay`.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.stats import clopper_pearson_interval
 from repro.exceptions import ConfigurationError
+from repro.faults.fleet import merge_events
 from repro.faults.model import FaultModel, PulseDrop
 from repro.simulator.fleet import HAVE_NUMPY
 from repro.verification.statistical import (
@@ -112,6 +115,22 @@ def test_injected_drop_is_caught_localized_and_replayed(backend):
     replayed = ce.replay()
     assert replayed is not None  # deterministic: always reproduces
     assert "instance 10" in replayed
+
+
+def test_seeded_counterexamples_replay_their_own_message():
+    """A seeded counterexample from a block of 8 replays solo under the
+    schedule it failed under: the schedule keys on its global index."""
+    report = run_recovery_check(
+        algorithm="nonoriented", n=6, id_max=60, samples=64,
+        scheduler="seeded", block_size=8,
+        faults=FaultModel(drop_rate=0.02, seed=3), backend="python",
+    )
+    assert [ce.instance for ce in report.counterexamples] == [0, 1, 2, 3, 4]
+    assert [ce.replay() for ce in report.counterexamples] == [
+        ce.message.partition("; first violated invariant: ")[0]
+        for ce in report.counterexamples
+    ]
+    assert all(ce.reproduces() for ce in report.counterexamples)
 
 
 def test_fault_in_untested_instance_is_silent():
@@ -259,3 +278,47 @@ def test_report_interval_with_failures():
         confidence=report.confidence,
     )
     assert (report.rate_low, report.rate_high) == (low, high)
+
+
+# -- partition independence -------------------------------------------------
+
+#: Fault arms of the partition property: none, one pulse lost per
+#: instance, and a rate model.  Fault-free outcomes are the same under
+#: every schedule (Theorems 1 and 2), so only a faulted seeded arm can
+#: show a cut-dependent schedule.
+PARTITION_FAULTS = {
+    "fault-free": None,
+    "pulse-drop": PulseDrop(round_index=2, node=1, direction="cw"),
+    "drop-rate": FaultModel(drop_rate=0.05, seed=4),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("fault", sorted(PARTITION_FAULTS))
+@pytest.mark.parametrize("scheduler", ["lockstep", "seeded"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_any_partition_tallies_like_one_block(scheduler, fault, backend, data):
+    """Any split of ``range(samples)`` into contiguous shards, in any
+    block size, gives the counts, failures and fault events of one
+    block: IDs, flips, fault rolls and the seeded schedule all key on
+    an instance's global index alone."""
+    samples = data.draw(st.integers(min_value=1, max_value=12), label="samples")
+    cuts = data.draw(st.sets(st.integers(min_value=1, max_value=samples)), label="cuts")
+    block_size = data.draw(st.integers(min_value=1, max_value=samples), label="block")
+    check = RecoveryCheck(
+        algorithm="nonoriented", n=4, id_max=16, sched_seed=7,
+        scheduler=scheduler, backend=backend, fault=PARTITION_FAULTS[fault],
+    )
+    edges = sorted(cuts | {0})
+    parts = [
+        check_shard(check, range(start, stop), block_size)
+        for start, stop in zip(edges, edges[1:] + [samples])
+        if start < stop
+    ]
+    events = [part_events for _counts, _failures, part_events in parts if part_events]
+    assert (
+        {name: sum(counts[name] for counts, _f, _e in parts) for name in check.classes},
+        [failure for _counts, failures, _e in parts for failure in failures],
+        merge_events(*events) if events else {},
+    ) == check_shard(check, range(samples), samples)
