@@ -1,6 +1,6 @@
 """Fleet contracts shared by the ``python`` and ``numpy`` backends.
 
-Three layers are pinned, each against the pure-Python reference:
+Four layers are pinned, each against the pure-Python reference:
 
 * the vectorized counter-hash twins — :func:`repro.faults.fleet._np_rolls`
   vs :func:`repro.faults.model.roll_u64` and
@@ -8,6 +8,9 @@ Three layers are pinned, each against the pure-Python reference:
   :func:`repro.simulator.fleet.schedule_bit`, value for value over
   hypothesis-generated coordinates, plus the certain-rate (``2**64``)
   threshold that cannot ride in a uint64;
+* the intra-lap hop-skip — :func:`repro.simulator.fleet._np_hop_skip` vs
+  :func:`repro.simulator.fleet._py_hop_skip`, row by row over
+  hypothesis-generated flights, margins and candidate masks;
 * the run-level contracts every backend honours — the round-limit error,
   the stuck-run watchdog, and the per-round observer (which must fire
   with its backend's label and must not perturb the outcome);
@@ -36,8 +39,11 @@ from repro.faults.model import (
     roll_u64,
 )
 from repro.simulator.fleet import (
+    _MARGIN_INF,
     HAVE_NUMPY,
+    _np_hop_skip,
     _np_schedule_bits,
+    _py_hop_skip,
     run_nonoriented_fleet,
     run_terminating_fleet,
     run_warmup_fleet,
@@ -123,6 +129,57 @@ class TestNumpyHashTwins:
         assert rate_threshold(1.0) == 2**64
         assert _np_under(np, rolls, rate_threshold(1.0)).all()
         assert not _np_under(np, rolls, rate_threshold(0.0)).any()
+
+
+# -- the hop-skip twins, row by row -------------------------------------------
+
+#: The NumPy driver's margin for a node past every threshold.
+INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def hop_blocks(draw):
+    """A ``[B, n]`` block for the hop-skip: flights (all-zero rows
+    included), margins in ``0 .. 3n`` or the sentinel (``None``), the
+    candidate mask and the travel direction."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    rows = st.lists(st.integers(min_value=0, max_value=5), min_size=n, max_size=n)
+    margin = st.one_of(st.integers(min_value=0, max_value=3 * n), st.none())
+    B = draw(st.integers(min_value=1, max_value=8))
+    flights = draw(st.lists(st.one_of(st.just([0] * n), rows),
+                            min_size=B, max_size=B))
+    margins = draw(st.lists(st.lists(margin, min_size=n, max_size=n),
+                            min_size=B, max_size=B))
+    cand = draw(st.lists(st.booleans(), min_size=B, max_size=B))
+    return flights, margins, cand, draw(st.booleans())
+
+
+@needs_numpy
+@settings(max_examples=300, deadline=None)
+@given(block=hop_blocks())
+def test_np_hop_skip_matches_scalar_twin(block):
+    flights, margins, cand, backward = block
+    got = _np_hop_skip(
+        np,
+        np.array(flights, dtype=np.int64),
+        np.array([[INT64_MAX if m is None else m for m in row] for row in margins],
+                 dtype=np.int64),
+        np.array(cand, dtype=bool),
+        backward,
+    )
+    want = [
+        _py_hop_skip(flight, [_MARGIN_INF if m is None else m for m in row], backward)
+        if c else (0, None, flight)
+        for flight, row, c in zip(flights, margins, cand)
+    ]
+    if all(hops == 0 for hops, _, _ in want):
+        assert got is None
+        return
+    H, gains, flight_after = got
+    for b, (hops, row_gains, row_after) in enumerate(want):
+        assert int(H[b]) == hops
+        assert gains[b].tolist() == (row_gains if hops else [0] * len(row_after))
+        assert flight_after[b].tolist() == row_after
 
 
 # -- run-level contracts, per backend -----------------------------------------
