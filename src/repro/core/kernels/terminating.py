@@ -336,8 +336,7 @@ def drain_block_np(np: Any, cols: TerminatingColumns) -> None:
 
 def ccw_skip_margins_np(np: Any, ids: Any, rho_cw: Any, rho_ccw: Any) -> Any:
     """Vectorized :func:`ccw_skip_margin`."""
-    int_max = np.iinfo(np.int64).max
     return np.minimum(
-        np.where(rho_ccw < ids, ids - rho_ccw - 1, int_max),
+        np.where(rho_ccw < ids, ids - rho_ccw - 1, warmup.INT64_MAX),
         rho_cw - rho_ccw,
     )

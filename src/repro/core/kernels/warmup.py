@@ -159,7 +159,11 @@ def step_block_np(np: Any, gov: Any, rho: Any, delivered: Any) -> Tuple[Any, Any
     return rho, relays
 
 
+#: The column lowerings' margin for a node past every threshold: int64's
+#: largest value, beyond any reachable window or lap sum.
+INT64_MAX = (1 << 63) - 1
+
+
 def skip_margins_np(np: Any, gov: Any, rho: Any) -> Any:
     """Vectorized :func:`skip_margin`; past-threshold nodes are unbounded."""
-    int_max = np.iinfo(np.int64).max
-    return np.where(rho < gov, gov - rho - 1, int_max)
+    return np.where(rho < gov, gov - rho - 1, INT64_MAX)

@@ -121,25 +121,28 @@ def schedule_bit(seed: int, instance: int, round_index: int, channel: int) -> in
     return (_mix64(key) >> 32) & 1
 
 
-def _np_schedule_bits(
-    seed_mixed: int, offset: int, n_instances: int, round_index: int, channels: int
-):
-    """Vectorized :func:`schedule_bit` for instances ``offset ..
-    offset + n_instances - 1``: bool array ``[n_instances, channels]``."""
+def _np_schedule_keys(seed: int, offset: int, n_instances: int, channels: int):
+    """The round-free part of :func:`schedule_bit`'s key for instances
+    ``offset .. offset + n_instances - 1``: uint64 ``[n_instances,
+    channels]``, built once per run."""
     u64 = _np.uint64
-    with _np.errstate(over="ignore"):
-        b = _np.arange(offset, offset + n_instances, dtype=u64)[:, None]
-        c = _np.arange(channels, dtype=u64)[None, :]
-        x = (
-            u64(seed_mixed)
-            + b * u64(_KEY_INSTANCE)
-            + u64(round_index % (1 << 64)) * u64(_KEY_ROUND)
-            + c * u64(_KEY_CHANNEL)
-        )
-        x = (x ^ (x >> u64(33))) * u64(_MIX_A)
-        x = (x ^ (x >> u64(33))) * u64(_MIX_B)
-        x = x ^ (x >> u64(33))
-    return ((x >> u64(32)) & u64(1)).astype(bool)
+    b = _np.arange(offset, offset + n_instances, dtype=u64)[:, None]
+    c = _np.arange(channels, dtype=u64)[None, :]
+    return u64(_mix64(seed)) + b * u64(_KEY_INSTANCE) + c * u64(_KEY_CHANNEL)
+
+
+def _np_schedule_bits(keys, round_index: int):
+    """Vectorized :func:`schedule_bit` over :func:`_np_schedule_keys`'
+    ``keys``: bool array of the same shape.  The round term is reduced
+    mod ``2**64`` in Python, so uint64 wrap-around adds it exactly."""
+    u64 = _np.uint64
+    x = keys + u64((round_index * _KEY_ROUND) & _MASK64)
+    x ^= x >> u64(33)
+    x *= u64(_MIX_A)
+    x ^= x >> u64(33)
+    x *= u64(_MIX_B)
+    x ^= x >> u64(33)
+    return (x & u64(1 << 32)).astype(bool)
 
 
 def _check_fleet(id_lists: Sequence[Sequence[int]], unique: bool) -> Tuple[int, int]:
@@ -289,7 +292,7 @@ FleetObserver = Callable[[FleetRoundView], None]
 # The round driver: one per twin, over the lanes of one fleet run.  It
 # owns the plumbing — fault application and the live/done mask, the
 # watchdog and round limit, the scheduler's deliveries, the lap- and
-# hop-skips, rolling each lane's sends into its flight, the observer
+# hop-skips, adding each lane's sends into its flight, the observer
 # view — and a kernel spec (below) supplies the rest.
 #
 # Lockstep schedule: each row delivers only its first non-empty lane;
@@ -314,7 +317,7 @@ def _np_hop_skip(np_mod, flight, margins, cand, backward):
     instance.  This helper removes it: after ``H < n`` consecutive
     all-deliver rounds with no branch crossing, node ``v`` has received
     the window sum of ``flight`` over the ``H`` channels upstream of it
-    (``backward=True`` when sends roll ``+1``, i.e. CW travel; ``False``
+    (``backward=True`` when sends shift ``+1``, i.e. CW travel; ``False``
     for CCW) and the flight array is the original rolled by ``H`` — so
     those rounds are one closed-form update.  ``H`` is the largest value
     whose window sums stay within ``margins`` at every node; window sums
@@ -322,39 +325,55 @@ def _np_hop_skip(np_mod, flight, margins, cand, backward):
     sums of the doubled flight array finds it.  Rows outside ``cand``
     get ``H = 0``.  Returns ``(H, gains, flight_after)`` or ``None``
     when no row can advance.
+
+    The prefix sums ``C`` fill one ``[B, 2n+1]`` buffer, and every
+    window sum is a difference of two entries of ``C``: one fixed per
+    node, one that moves with ``H``.  The moving one is gathered through
+    flat indices into the buffer, built once per call, and so is
+    ``flight_after``: its entry ``v`` is one element of the doubled
+    array, the difference of two neighbouring entries of ``C``.
     """
     B, n = flight.shape
     if n < 2:
         return None
-    doubled = np_mod.concatenate([flight, flight], axis=1)
-    csum = np_mod.concatenate(
-        [np_mod.zeros((B, 1), np_mod.int64), np_mod.cumsum(doubled, axis=1)],
-        axis=1,
-    )
-    pos = np_mod.arange(n)
-    if backward:
-        window_end = csum[:, n + 1 : 2 * n + 1]  # C[v + n + 1], fixed per v
+    width = 2 * n + 1
+    csum = np_mod.empty((B, width), np_mod.int64)  # C[j] = sum(doubled[:j])
+    csum[:, 0] = 0
+    np_mod.cumsum(flight, axis=1, out=csum[:, 1 : n + 1])
+    np_mod.add(csum[:, 1 : n + 1], csum[:, n : n + 1], out=csum[:, n + 1 :])
+    flat = csum.ravel()
+    base = np_mod.arange(0, B * width, width)[:, None] + np_mod.arange(n)
+    if backward:  # node v's window: C[v + n + 1] - C[v + n + 1 - H]
+        fixed = csum[:, n + 1 :]
+        base += n + 1
+    else:  # C[v + H] - C[v]
+        fixed = csum[:, :n]
 
     def window_gains(hops):
         if backward:
-            idx = pos[None, :] + (n + 1) - hops[:, None]
-            return window_end - np_mod.take_along_axis(csum, idx, axis=1)
-        idx = pos[None, :] + hops[:, None]
-        return np_mod.take_along_axis(csum, idx, axis=1) - csum[:, :n]
+            return fixed - flat[base - hops[:, None]]
+        return flat[base + hops[:, None]] - fixed
 
+    # The bisection keeps 0 <= lo <= mid: a row whose mid is 0 already
+    # has lo = 0, so the check at H = 0 needs no guard.
     lo = np_mod.zeros(B, np_mod.int64)
     hi = np_mod.where(cand, n - 1, 0)
     for _ in range(int(n - 1).bit_length()):
-        mid = np_mod.maximum((lo + hi + 1) // 2, 0)
-        ok = (mid >= 1) & (window_gains(mid) <= margins).all(axis=1)
+        mid = (lo + hi + 1) // 2
+        ok = (window_gains(mid) <= margins).all(axis=1)
         lo = np_mod.where(ok, mid, lo)
         hi = np_mod.where(ok, hi, mid - 1)
     if not (lo > 0).any():
         return None
-    gains = window_gains(lo)
-    shift = -lo[:, None] if backward else lo[:, None]
-    flight_after = np_mod.take_along_axis(flight, (pos[None, :] + shift) % n, axis=1)
-    return lo, gains, flight_after
+    # doubled[j] = C[j + 1] - C[j]; after H hops node v holds
+    # doubled[v + n - H] backward, doubled[v + H] forward.
+    if backward:
+        at = base - lo[:, None]
+        edge = flat[at]
+        return lo, fixed - edge, edge - flat[at - 1]
+    at = base + lo[:, None]
+    edge = flat[at]
+    return lo, edge - fixed, flat[at + 1] - edge
 
 
 #: Scalar stand-in for the NumPy path's int64-max margin sentinel; only
@@ -407,6 +426,18 @@ def _view(algorithm, backend, round_index, instance_offset, ids, flights,
     )
 
 
+def _np_flush(lanes, flights, sends, total):
+    """Add each lane's per-node sends into its flight in place (node
+    ``v``'s sends land at ``v + shift``) and count them into the per-row
+    ``total``."""
+    for lane, flight, row in zip(lanes, flights, sends):
+        n = flight.shape[1]
+        shift = lane.shift % n
+        flight[:, shift:] += row[:, : n - shift]
+        flight[:, :shift] += row[:, n - shift :]
+        total += row.sum(axis=1)
+
+
 def _np_rounds(
     spec, runs, algorithm, scheduler, seed, max_rounds, observer,
     instance_offset, watchdog,
@@ -420,20 +451,21 @@ def _np_rounds(
     spec's row-shaped columns, then per-row totals and stuck flags
     summed over runs, and fleet-wide counters.
     """
+    from repro.core.kernels.warmup import INT64_MAX
+
     columns = []
     totals = stuck_any = None
     rounds_sum = skips = ignored = 0
-    seed_mixed = _mix64(seed)
-    margin_inf = _np.iinfo(_np.int64).max
     for gov_rows, lanes, faults in runs:
         state = spec(gov_rows)
         B, n = state.gov.shape
-        flights = [
-            _np.roll(sends, lane.shift, axis=1)
-            for lane, sends in zip(lanes, state.init_sends())
-        ]
-        total = sum(flight.sum(axis=1) for flight in flights)
-        channels = max(lane.chan_base for lane in lanes) + n
+        flights = [_np.zeros((B, n), _np.int64) for _ in lanes]
+        total = _np.zeros(B, _np.int64)
+        _np_flush(lanes, flights, state.init_sends(), total)
+        if scheduler == "seeded":
+            keys = _np_schedule_keys(
+                seed, instance_offset, B, max(lane.chan_base for lane in lanes) + n
+            )
         skip = scheduler == "lockstep" and (faults is None or faults.allow_skips)
         if observer is not None:
             blank = _blank_view(_np.zeros((B, n), _np.int64), _np.zeros((B, n), bool))
@@ -484,16 +516,16 @@ def _np_rounds(
                             # threshold (infinite relay; the watchdog
                             # cuts it) — suppress the skip so the
                             # sentinel cannot overflow.
-                            mmin = _np.where(mmin == margin_inf, 0, mmin)
+                            mmin = _np.where(mmin == INT64_MAX, 0, mmin)
                         k = ks[i]
                         laps = _np.where(cand, mmin // _np.maximum(k, 1), 0)
                         do = laps >= 1
                         if do.any():
                             skips += 1
-                            add = (laps * k)[:, None] * do[:, None]
-                            state.apply_laps(lane, add)
-                            total += do * (laps * k * n)
-                            margin = margin - add
+                            add = laps * k * do
+                            state.apply_laps(lane, add[:, None])
+                            total += add * n
+                            margin = margin - add[:, None]
                         if state.hops[i]:
                             hop = _np_hop_skip(
                                 _np, flights[i], margin, cand, backward=lane.shift > 0
@@ -510,9 +542,7 @@ def _np_rounds(
                     delivered.append(flights[i] * phase)
                     flights[i] = flights[i] * ~phase
             else:
-                mask = _np_schedule_bits(
-                    seed_mixed, instance_offset, B, rounds, channels
-                )
+                mask = _np_schedule_bits(keys, rounds)
                 delivered = [
                     flight * mask[:, lane.chan_base : lane.chan_base + n]
                     for lane, flight in zip(lanes, flights)
@@ -526,9 +556,7 @@ def _np_rounds(
                     for flight, part in zip(flights, delivered)
                 ]
                 flights = [flight - part for flight, part in zip(flights, delivered)]
-            for i, (lane, sends) in enumerate(zip(lanes, state.deliver(delivered))):
-                flights[i] += _np.roll(sends, lane.shift, axis=1)
-                total += sends.sum(axis=1)
+            _np_flush(lanes, flights, state.deliver(delivered), total)
             if observer is not None:
                 observer(_view(
                     algorithm, "numpy", rounds, instance_offset, state.gov,
@@ -822,7 +850,7 @@ class _NpTerminating(_NpSpec):
 
     def skippable(self):
         cols = self.cols
-        return ~cols.term_sent.any(axis=1) & ~cols.terminated.any(axis=1)
+        return ~(cols.term_sent | cols.terminated).any(axis=1)
 
     def margins(self, lane):
         cols = self.cols

@@ -4,7 +4,8 @@ Four layers are pinned, each against the pure-Python reference:
 
 * the vectorized counter-hash twins — :func:`repro.faults.fleet._np_rolls`
   vs :func:`repro.faults.model.roll_u64` and
-  :func:`repro.simulator.fleet._np_schedule_bits` vs
+  :func:`repro.simulator.fleet._np_schedule_bits` (over
+  :func:`repro.simulator.fleet._np_schedule_keys`) vs
   :func:`repro.simulator.fleet.schedule_bit`, value for value over
   hypothesis-generated coordinates, plus the certain-rate (``2**64``)
   threshold that cannot ride in a uint64;
@@ -43,6 +44,7 @@ from repro.simulator.fleet import (
     HAVE_NUMPY,
     _np_hop_skip,
     _np_schedule_bits,
+    _np_schedule_keys,
     _py_hop_skip,
     run_nonoriented_fleet,
     run_terminating_fleet,
@@ -107,14 +109,13 @@ class TestNumpyHashTwins:
     @given(
         seed=st.integers(min_value=0, max_value=2**64 - 1),
         instance_offset=st.integers(min_value=1, max_value=2**32),
-        round_index=st.integers(min_value=0, max_value=2**32),
+        # Up to 2**64 - 1, so the round term wraps mod 2**64.
+        round_index=st.integers(min_value=0, max_value=2**64 - 1),
     )
     def test_schedule_bit(self, seed, instance_offset, round_index):
-        from repro.faults.model import mix64
-
         rows, channels = 3, 8
-        got = _np_schedule_bits(mix64(seed), instance_offset, rows,
-                                round_index, channels)
+        keys = _np_schedule_keys(seed, instance_offset, rows, channels)
+        got = _np_schedule_bits(keys, round_index)
         assert got.shape == (rows, channels) and got.dtype == bool
         for b in range(rows):
             for c in range(channels):
