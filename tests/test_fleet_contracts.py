@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernels.warmup import INT64_MAX
 from repro.exceptions import SimulationLimitExceeded
 from repro.faults.fleet import _np_rolls, _np_under
 from repro.faults.model import (
@@ -133,10 +134,6 @@ class TestNumpyHashTwins:
 
 
 # -- the hop-skip twins, row by row -------------------------------------------
-
-#: The NumPy driver's margin for a node past every threshold.
-INT64_MAX = 2**63 - 1
-
 
 @st.composite
 def hop_blocks(draw):
