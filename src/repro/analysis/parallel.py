@@ -125,3 +125,13 @@ def shard_evenly(items: Iterable[T], shards: int) -> List[List[T]]:
         out.append(work[start : start + size])
         start += size
     return out
+
+
+def worker_ranges(total: int, processes: ProcessCount) -> List[range]:
+    """``range(total)`` cut into one contiguous range per worker process
+    (:func:`shard_evenly`'s balanced split): the cut of every runner
+    that keeps nothing between runs, where fewer, larger fleets win."""
+    return [
+        range(shard[0], shard[-1] + 1)
+        for shard in shard_evenly(range(total), resolve_processes(processes))
+    ]

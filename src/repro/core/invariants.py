@@ -40,8 +40,9 @@ Every substrate reads that statement:
 * the column forms (``check_columns_*``, taking a ``FleetRoundView``)
   run it on every row of a pure-Python view; on a NumPy view a
   vectorized mask screens the whole block and the statement runs on the
-  first flagged row only.  The statistical model checker runs the column
-  battery over millions of sampled schedules.
+  first flagged live row only.  The violation names that row's global
+  instance, and the statistical model checker, which runs the column
+  battery over millions of sampled schedules, localizes it there.
 
 The column battery also checks a *conservation* law no single node can
 state: per instance and direction, every pulse ever sent is processed,
@@ -63,6 +64,13 @@ from repro.simulator.engine import Engine
 
 class InvariantViolation(AssertionError):
     """An executable lemma failed; carries a forensic description."""
+
+    #: The global index of the row a fleet column check flags; None elsewhere.
+    instance: Optional[int] = None
+
+    def __init__(self, message: str, instance: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.instance = instance
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +316,21 @@ def _column_form(statement: Callable[..., Optional[str]], mask: Callable[..., An
             bad = mask(*columns)
             if not bad.any():
                 return
-            rows = [int(bad.nonzero()[0][0])]
+            live = range(len(bad)) if view.live is None else view.live.nonzero()[0]
+            if len(live) < len(bad):
+                # Screen the live rows alone, as their solo runs would.
+                bad = mask(*(column[live] for column in columns))
+                if not bad.any():
+                    return
+            rows = [int(live[bad.nonzero()[0][0]])]
             columns = [column.tolist() for column in columns]
         for b in rows:
             text = statement(*(column[b] for column in columns))
             if text is not None:
+                instance = view.instance_offset + b
                 raise InvariantViolation(
-                    f"instance {view.instance_offset + b}, "
-                    f"round {view.round_index}: {text}"
+                    f"instance {instance}, round {view.round_index}: {text}",
+                    instance,
                 )
 
     check.__name__ = check.__qualname__ = f"check_columns_{statement.__name__}"

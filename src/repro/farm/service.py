@@ -31,7 +31,7 @@ from repro.analysis.parallel import (
     ProcessCount,
     parallel_map,
     resolve_processes,
-    shard_evenly,
+    worker_ranges,
 )
 from repro.exceptions import ConfigurationError
 from repro.farm.campaign import Campaign
@@ -410,7 +410,7 @@ def run_campaign(
     shards are reused, the rest are computed and stored, and the stats
     are collected from the store.  Without it, nothing is stored: each
     grid point's ``range(total)`` is split into one contiguous range per
-    worker (:func:`~repro.analysis.parallel.shard_evenly`, not the
+    worker (:func:`~repro.analysis.parallel.worker_ranges`, not the
     campaign's ``shard_size``: fewer, larger fleets; the cut changes no
     outcome), each range runs through the same
     :func:`~repro.farm.workloads.run_shard`, and the payloads fold
@@ -432,18 +432,13 @@ def run_campaign(
             )
         return farm.collect_object(campaign.cid, **options)
     validate_campaign(campaign, backend, block_size)
-    ranges = [
-        (shard[0], shard[-1] + 1)
-        for shard in shard_evenly(
-            range(campaign.total), resolve_processes(processes)
-        )
-    ]
+    ranges = worker_ranges(campaign.total, processes)
     payloads = parallel_map(
         run_shard_task,
         [
-            (campaign.job_workload, dict(point), start, stop, backend, block_size)
+            (campaign.job_workload, dict(point), r.start, r.stop, backend, block_size)
             for point in campaign.grid()
-            for start, stop in ranges
+            for r in ranges
         ],
         processes=processes,
     )

@@ -282,6 +282,11 @@ class FleetRoundView:
     flight_ccw: Any
     term_sent: Any
     terminated: Any
+    #: The NumPy rows still running this round (None where every row
+    #: is): a row quiesced before the round's deliveries is one its solo
+    #: run no longer observes.  The round driver sets it; it marks the
+    #: round rather than holding state, so it is not a field.
+    live = None
 
 
 #: Per-round statistical-checking hook (see :class:`FleetRoundView`).
@@ -415,15 +420,17 @@ def _blank_view(zeros, falses):
 
 
 def _view(algorithm, backend, round_index, instance_offset, ids, flights,
-          columns, blank):
+          columns, blank, live=None):
     """One round's :class:`FleetRoundView`: the spec's ``columns`` and
     the lanes' flights (a one-lane run shows its lane in the CW slots)
     over the ``blank`` ones."""
     fields = dict(blank, **columns)
     fields.update(zip(("flight_cw", "flight_ccw"), flights))
-    return FleetRoundView(
+    view = FleetRoundView(
         algorithm, backend, round_index, instance_offset, ids, **fields
     )
+    view.live = live
+    return view
 
 
 def _np_flush(lanes, flights, sends, total):
@@ -560,7 +567,7 @@ def _np_rounds(
             if observer is not None:
                 observer(_view(
                     algorithm, "numpy", rounds, instance_offset, state.gov,
-                    flights, state.view(), blank,
+                    flights, state.view(), blank, active,
                 ))
         cols, run_ignored = state.result()
         columns.append({name: col.tolist() for name, col in cols.items()})

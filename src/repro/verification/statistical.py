@@ -20,14 +20,17 @@ Every sampled check is one :class:`Check`, and one engine
    fleet;
 3. **classify** — :meth:`Check.classify` puts each instance in one of
    the check's :attr:`~Check.classes`; the first class passes;
-4. **bisect** (optional) — when :attr:`Check.bisect` is set, the
+4. **localize** (optional) — when :attr:`Check.per_round` is set, the
    check's column-invariant battery (:mod:`repro.core.invariants`) runs
-   at every fleet round.  A violation aborts the whole block, so the
-   engine re-runs halves down to single instances, ``O(log B)`` extra
-   fleet runs per violating instance.  Once ``max_counterexamples``
-   failures are localized, a failing sub-block is counted failing
-   wholesale: conservative for the pass rate, and the interval inherits
-   the conservatism;
+   at every fleet round.  A violation aborts the whole block, but it
+   names the one instance it flags
+   (:attr:`~repro.core.invariants.InvariantViolation.instance`): that
+   instance fails with the violation's own message, and the rows
+   before and after it run again, one extra fleet run per violating
+   instance.  The message is the one a solo run raises, because no row
+   violated in an earlier round and no earlier invariant of the
+   battery flagged a row in this one; every failure is localized, so
+   the counts are exact at any cut;
 5. **verdict** — :meth:`Check.verdict` decides whether the
    :class:`Report` upholds the contract.
 
@@ -62,7 +65,7 @@ Fault injection serves two roles:
   a chosen round.  Pulse loss is outside the model, so a correct kernel
   + invariant battery must flag it, demonstrating the full find →
   localize → replay loop.
-* **Recovery harness** (:func:`run_recovery_check`): a full
+* **Recovery harness** (:class:`RecoveryCheck`): a full
   :class:`~repro.faults.model.FaultModel` perturbs every sampled run
   mid-flight, and each run is classified by where it *ends up*.
   Non-recovered runs are annotated with the first violated invariant.
@@ -72,7 +75,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import (
     Any,
     Callable,
@@ -87,12 +90,7 @@ from typing import (
 )
 
 from repro.accel import resolve_backend
-from repro.analysis.parallel import (
-    ProcessCount,
-    parallel_map,
-    resolve_processes,
-    shard_evenly,
-)
+from repro.analysis.parallel import ProcessCount, parallel_map, worker_ranges
 from repro.analysis.stats import clopper_pearson_interval
 from repro.core.common import LeaderState
 from repro.core.invariants import InvariantViolation, column_invariants_for
@@ -109,7 +107,7 @@ from repro.simulator.fleet import (
 )
 
 #: Default fleet block size: big enough to amortize array dispatch,
-#: small enough that bisecting a failing block stays cheap.
+#: small enough that re-running the rest of a failing block stays cheap.
 DEFAULT_BLOCK_SIZE = 8192
 
 #: Algorithms with both a column invariant battery and an exact
@@ -170,13 +168,11 @@ class Check:
     name: ClassVar[str] = ""
     #: Per-instance classes; the first is the pass class.
     classes: ClassVar[Tuple[str, ...]] = ("passed", "violated")
-    #: Run :meth:`battery` every round, bisecting a violating block.
-    bisect: ClassVar[bool] = True
+    #: Run :meth:`battery` every round, splitting a violating block at
+    #: the instance the violation names.
+    per_round: ClassVar[bool] = True
     #: Prefix of a message localized from a per-round violation.
     violation_prefix: ClassVar[str] = ""
-    #: Run a shard in fleet blocks of ``block_size``; False runs each
-    #: shard as one fleet.
-    blocked: ClassVar[bool] = True
     #: Fleet backend; every check declares it as a field.
     backend: str
 
@@ -354,7 +350,7 @@ class RecoveryCheck(RingCheck):
 
     name = "recovery"
     classes = RECOVERY_CLASSES
-    bisect = False
+    per_round = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -447,8 +443,7 @@ class WhpCheck(Check):
 
     name = "anonymous-whp"
     classes = ("succeeded", "failed")
-    bisect = False
-    blocked = False
+    per_round = False
 
     def __post_init__(self) -> None:
         from repro.analysis.whp import whp_target
@@ -591,7 +586,7 @@ class Counterexample:
         Every stream keys on the global index, so a genuine
         counterexample always reproduces (:meth:`reproduces`).
         """
-        _size, failures, _events = _run_shard((self.check, [self.instance], 1, 1))
+        _counts, failures, _events = check_shard(self.check, [self.instance], 1)
         return failures[0][2] if failures else None
 
     def reproduces(self) -> bool:
@@ -605,7 +600,7 @@ class Report:
     """Outcome of one :func:`run_check`: :func:`tally`'s counts,
     interval (at ``confidence``) and fault events over ``samples``, and
     the first counterexamples.  ``fault_events`` stays empty for a check
-    with :attr:`~Check.bisect`, whose aborted runs report no events.
+    with :attr:`~Check.per_round`, whose aborted runs report no events.
     """
 
     check: Check
@@ -654,66 +649,40 @@ def _observer(battery: Sequence[Callable[[Any], None]]) -> Callable[[Any], None]
 
 
 def _run_block(
-    check: Check,
-    block: List[Any],
-    offset: int,
-    budget: int,
-    events: List[Dict[str, int]],
+    check: Check, block: List[Any], offset: int, events: List[Dict[str, int]]
 ) -> List[Failure]:
-    """Failures within one block, in index order.
+    """Failures within one block of contiguous instances from ``offset``,
+    in index order.
 
-    A per-round violation aborts the fleet run, so the block is bisected
-    to localize it.  ``budget`` caps how many failures are localized
-    exactly; once spent, a failing sub-block is attributed wholesale
-    (every instance failing, with the block-level message).
+    A per-round violation aborts the fleet run and names the instance it
+    flags: that instance fails with the violation's message, and the
+    rows before and after it run again.
     """
-    try:
-        result = check.run(
-            block, offset, _observer(check.battery()) if check.bisect else None
-        )
-    except InvariantViolation as violation:
-        failed = check.classes[-1]
-        if len(block) == 1:
-            return [(offset, failed, check.violation_prefix + str(violation))]
-        if budget <= 0:
-            return [
-                (offset + b, failed, f"unlocalized (budget exhausted): {violation}")
-                for b in range(len(block))
-            ]
-        half = len(block) // 2
-        left = _run_block(check, block[:half], offset, budget, events)
-        right = _run_block(
-            check, block[half:], offset + half, budget - len(left), events
-        )
-        return left + right
-    if not check.bisect and getattr(result, "fault_events", None):
-        events.append(result.fault_events)
     failures: List[Failure] = []
-    for b, sample in enumerate(block):
-        label, message = check.classify(sample, result, b, offset + b)
-        if label != check.classes[0]:
-            failures.append((offset + b, label, message))
-    return failures
-
-
-def _run_shard(
-    job: Tuple[Check, Sequence[int], int, int],
-) -> Tuple[int, List[Failure], Dict[str, int]]:
-    """The one shard worker (picklable): the size, the failures (index
-    order) and merged fault events of contiguous global ``indices``, run
-    in blocks."""
-    check, indices, block_size, budget = job
-    if not check.blocked:
-        block_size = max(len(indices), 1)
-    failures: List[Failure] = []
-    events: List[Dict[str, int]] = []
-    for start in range(0, len(indices), block_size):
-        chunk = indices[start : start + block_size]
-        block = [check.sample(index) for index in chunk]
-        failures.extend(
-            _run_block(check, block, chunk[0], budget - len(failures), events)
-        )
-    return len(indices), failures, merge_events(*events) if events else {}
+    observer = _observer(check.battery()) if check.per_round else None
+    segments = [(offset, block)]
+    while segments:
+        offset, block = segments.pop()
+        if not block:
+            continue
+        try:
+            result = check.run(block, offset, observer)
+        except InvariantViolation as violation:
+            index = violation.instance
+            if index is None:
+                raise
+            message = check.violation_prefix + str(violation)
+            failures.append((index, check.classes[-1], message))
+            split = index - offset
+            segments += [(offset, block[:split]), (index + 1, block[split + 1 :])]
+            continue
+        if not check.per_round and getattr(result, "fault_events", None):
+            events.append(result.fault_events)
+        for b, sample in enumerate(block):
+            label, message = check.classify(sample, result, b, offset + b)
+            if label != check.classes[0]:
+                failures.append((offset + b, label, message))
+    return sorted(failures)
 
 
 def _counts(
@@ -760,18 +729,26 @@ def check_shard(
     indices: Sequence[int],
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> Tuple[Dict[str, int], List[Failure], Dict[str, int]]:
-    """The shard seam: ``(counts, failures, fault_events)`` over exactly
-    the contiguous global ``indices``, every failure localized.
+    """The one shard worker: ``(counts, failures, fault_events)`` over
+    exactly the contiguous global ``indices``, every failure localized
+    and the failures in index order.
 
-    This is the unit of work the sweep farm caches.  Any partition of
-    ``range(samples)`` into shards sums to the same counts and the same
-    sorted failures :func:`run_check` computes in one pass, because
-    every instance is counter-derived from ``(seed, index)`` alone;
+    :func:`run_check` runs one shard per worker through it,
+    :meth:`Counterexample.replay` one instance, and the sweep farm
+    caches its shards.  Any partition of ``range(samples)`` into shards
+    sums to the same counts and the same sorted failures, because every
+    instance is counter-derived from ``(seed, index)`` alone;
     ``backend`` and ``block_size`` are bit-identical execution knobs.
     """
     indices = list(indices)
-    size, failures, events = _run_shard((check, indices, block_size, len(indices)))
-    return _counts(check.classes, size, failures), failures, events
+    failures: List[Failure] = []
+    events: List[Dict[str, int]] = []
+    for start in range(0, len(indices), block_size):
+        chunk = indices[start : start + block_size]
+        block = [check.sample(index) for index in chunk]
+        failures.extend(_run_block(check, block, chunk[0], events))
+    counts = _counts(check.classes, len(indices), failures)
+    return counts, failures, merge_events(*events) if events else {}
 
 
 def _first_violation(check: Check, index: int) -> Optional[str]:
@@ -799,7 +776,7 @@ def _first_violation(check: Check, index: int) -> Optional[str]:
 def _counterexample(
     check: Check, index: int, label: str, message: str
 ) -> Counterexample:
-    first = None if check.bisect else _first_violation(check, index)
+    first = None if check.per_round else _first_violation(check, index)
     if first is not None:
         message += _FIRST_INVARIANT + first
     return Counterexample(check, index, label, message, first)
@@ -815,11 +792,11 @@ def run_check(
 ) -> Report:
     """Run ``check`` over global sample indices ``0 .. samples-1``.
 
-    Samples are sharded evenly over ``processes`` and run in fleet
-    blocks of ``block_size``; at most ``max_counterexamples`` failures
-    per shard are localized by bisection and the first
-    ``max_counterexamples`` overall become :class:`Counterexample`
-    objects.
+    Samples are cut into one contiguous range per worker
+    (:func:`~repro.analysis.parallel.worker_ranges`), each run through
+    :func:`check_shard` in fleet blocks of ``block_size``; every failure
+    is localized, and the first ``max_counterexamples`` become
+    :class:`Counterexample` objects.
     """
     if samples < 1:
         raise ConfigurationError(f"need at least one sample, got {samples}")
@@ -829,14 +806,16 @@ def run_check(
         raise ConfigurationError(
             f"confidence must be in (0, 1), got {confidence}"
         )
-    shards = shard_evenly(range(samples), resolve_processes(processes))
     per_shard = parallel_map(
-        _run_shard,
-        [(check, shard, block_size, max_counterexamples) for shard in shards],
+        partial(check_shard, check, block_size=block_size),
+        worker_ranges(samples, processes),
         processes=processes,
     )
     counts, failures, events, (low, high) = tally(
-        check.classes, samples, per_shard, confidence
+        check.classes,
+        samples,
+        [(sum(part.values()), found, evs) for part, found, evs in per_shard],
+        confidence,
     )
     examples = [
         _counterexample(check, *failure) for failure in failures[:max_counterexamples]
@@ -883,12 +862,12 @@ def run_statistical_check(
             :class:`~repro.faults.model.PulseDrop` pulse loss (the
             checker's classic self-test) or a full
             :class:`~repro.faults.model.FaultModel`.
-        max_counterexamples: How many violations to localize exactly
-            (and record as replayable :class:`Counterexample` objects).
+        max_counterexamples: How many violations to record as
+            replayable :class:`Counterexample` objects.
         max_rounds: Fleet safety bound.
         watchdog_rounds: Stuck-run watchdog override (None = automatic
             when faults are injected; see the fleet module).
-        processes: Worker processes; samples are sharded evenly.
+        processes: Worker processes; samples are cut evenly.
     """
     check = RingCheck(
         algorithm=algorithm, n=n, id_max=id_max, seed=seed, sched_seed=sched_seed,
@@ -898,83 +877,3 @@ def run_statistical_check(
     return run_check(
         check, samples, confidence, block_size, max_counterexamples, processes
     )
-
-
-def run_recovery_check(
-    algorithm: str = "nonoriented",
-    n: int = 8,
-    id_max: int = 100,
-    samples: int = 256,
-    seed: int = 0,
-    sched_seed: int = 0,
-    scheduler: str = "lockstep",
-    backend: str = "auto",
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    confidence: float = 0.99,
-    faults: Optional[FaultModel] = None,
-    max_counterexamples: int = 5,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    watchdog_rounds: Optional[int] = None,
-    processes: ProcessCount = 1,
-) -> Report:
-    """Classify every faulted sampled run by its stable end state.
-
-    This is the self-stabilization harness: inject the declarative
-    ``faults`` (:class:`~repro.faults.model.FaultModel`) into every
-    sampled instance and ask where each run *ends up* — ``recovered``,
-    ``wrong_stable``, or ``stuck`` (see :meth:`RecoveryCheck.classify`).
-    With ``faults=None`` (or a no-op model) every run must classify
-    ``recovered`` — a useful control arm.
-    """
-    check = RecoveryCheck(
-        algorithm=algorithm, n=n, id_max=id_max, seed=seed, sched_seed=sched_seed,
-        scheduler=scheduler, backend=backend, fault=faults, max_rounds=max_rounds,
-        watchdog_rounds=watchdog_rounds,
-    )
-    return run_check(
-        check, samples, confidence, block_size, max_counterexamples, processes
-    )
-
-
-def run_anonymous_whp_check(
-    n: int = 8,
-    c: float = 2.0,
-    trials: int = 400,
-    seed: int = 0,
-    backend: str = "auto",
-    confidence: float = 0.99,
-    max_counterexamples: int = 5,
-    processes: ProcessCount = 1,
-) -> Report:
-    """Check Lemma 18's w.h.p. guarantee over ``trials`` seeded pipeline
-    attempts (see :class:`WhpCheck`); failed attempts come back as
-    seed-replayable counterexamples."""
-    check = WhpCheck(n=n, c=c, seed=seed, backend=backend)
-    return run_check(
-        check, trials, confidence,
-        max_counterexamples=max_counterexamples, processes=processes,
-    )
-
-
-def run_topology_check(
-    graph: Any,
-    id_max: int = 1000,
-    samples: int = 200,
-    seed: int = 0,
-    sched_seed: int = 0,
-    scheduler: str = "lockstep",
-    backend: str = "auto",
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    confidence: float = 0.99,
-    max_counterexamples: int = 5,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> Report:
-    """Statistically check the ear election's contract on one graph
-    (see :class:`TopologyCheck`), sampling ID assignments from
-    :func:`ids_for_instance` — the same counter stream as the ring
-    checker."""
-    check = TopologyCheck(
-        graph=graph, id_max=id_max, seed=seed, sched_seed=sched_seed,
-        scheduler=scheduler, backend=backend, max_rounds=max_rounds,
-    )
-    return run_check(check, samples, confidence, block_size, max_counterexamples)

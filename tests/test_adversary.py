@@ -39,7 +39,7 @@ from repro.faults.model import GroupDrop
 from repro.verification.statistical import (
     Report,
     WhpCheck,
-    run_anonymous_whp_check,
+    run_check,
 )
 
 from strategies import adversary_plans
@@ -370,7 +370,7 @@ class TestLemma18Predicate:
         assert whp_target(6, 1.0) == pytest.approx(1 - 1 / 6)
 
     def test_clean_check_holds_with_replayable_counterexamples(self):
-        report = run_anonymous_whp_check(n=6, c=2.0, trials=60, seed=0)
+        report = run_check(WhpCheck(n=6, c=2.0, seed=0), 60)
         assert report.holds
         assert report.check.target == whp_target(6, 2.0)
         assert report.rate_high >= report.check.target
@@ -392,9 +392,9 @@ class TestLemma18Predicate:
 
     def test_check_validates_inputs(self):
         with pytest.raises(ConfigurationError):
-            run_anonymous_whp_check(n=6, trials=0)
+            run_check(WhpCheck(n=6), 0)
         with pytest.raises(ConfigurationError):
-            run_anonymous_whp_check(n=1, trials=10)
+            run_check(WhpCheck(n=1), 10)
 
 
 class TestAdversaryCli:

@@ -253,11 +253,10 @@ class TestFleetPath:
 
 class TestStatisticalBattery:
     def test_theta_clean(self):
-        from repro.verification.statistical import run_topology_check
+        from repro.verification.statistical import TopologyCheck, run_check
 
-        report = run_topology_check(
-            theta_graph(), id_max=64, samples=24, block_size=8
-        )
+        check = TopologyCheck(graph=theta_graph(), id_max=64)
+        report = run_check(check, 24, block_size=8)
         assert report.clean
         assert report.violations == 0
         assert report.check.routing.length == 13
@@ -274,10 +273,10 @@ class TestStatisticalBattery:
         assert whole == parts == []
 
     def test_refuses_bridges(self):
-        from repro.verification.statistical import run_topology_check
+        from repro.verification.statistical import TopologyCheck
 
         with pytest.raises(BridgeWitnessError):
-            run_topology_check(bridge_graph(), samples=4)
+            TopologyCheck(graph=bridge_graph(), id_max=1000)
 
 
 class TestExplorerCertification:

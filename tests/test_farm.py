@@ -875,14 +875,13 @@ class TestEarWorkload:
 
     def test_collect_matches_foreground_battery(self, tmp_path):
         from repro.graphs.samples import theta_graph
-        from repro.verification.statistical import run_topology_check
+        from repro.verification.statistical import TopologyCheck, run_check
 
         farm = Farm(tmp_path)
         outcome = farm.submit(self._campaign(), backend="python")
         result = farm.collect(outcome.cid)["result"]
-        report = run_topology_check(
-            theta_graph(0, 1, 2), id_max=64, samples=24, backend="python"
-        )
+        check = TopologyCheck(graph=theta_graph(0, 1, 2), id_max=64, backend="python")
+        report = run_check(check, 24)
         assert result["violations"] == report.violations
         assert result["rate_low"] == report.rate_low
         assert result["rate_high"] == report.rate_high

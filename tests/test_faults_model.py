@@ -5,7 +5,7 @@ seeded replay, recovery classification, and degradation curves.
 backend; these tests pin the language itself (validation, the pure
 counter-based decision function, seeded-replay determinism of the
 event-channel compiler) and the two consumers built on it — the recovery
-harness (:func:`repro.verification.statistical.run_recovery_check`) and
+harness (:class:`repro.verification.statistical.RecoveryCheck`) and
 the graceful-degradation sweep
 (:func:`repro.analysis.degradation.measure_degradation`).
 """
@@ -52,9 +52,10 @@ from repro.simulator.fleet import (
 from repro.simulator.ring import build_oriented_ring
 from repro.verification.statistical import (
     RECOVERY_CLASSES,
+    RecoveryCheck,
     flips_for_instance,
     ids_for_instance,
-    run_recovery_check,
+    run_check,
 )
 
 BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
@@ -271,8 +272,8 @@ class TestFleetEventCounters:
 
 class TestRecoveryHarness:
     def test_control_arm_recovers_everything(self):
-        report = run_recovery_check(
-            algorithm="nonoriented", n=4, id_max=30, samples=24, block_size=8
+        report = run_check(
+            RecoveryCheck(algorithm="nonoriented", n=4, id_max=30), 24, block_size=8
         )
         assert report.clean
         assert report.counts == {"recovered": 24, "wrong_stable": 0, "stuck": 0}
@@ -280,15 +281,13 @@ class TestRecoveryHarness:
         assert report.fault_events == {}
 
     def test_drops_classify_and_counterexamples_replay(self):
-        report = run_recovery_check(
+        check = RecoveryCheck(
             algorithm="nonoriented",
             n=5,
             id_max=40,
-            samples=32,
-            block_size=8,
-            faults=FaultModel(drop_rate=0.05, seed=2),
-            max_counterexamples=2,
+            fault=FaultModel(drop_rate=0.05, seed=2),
         )
+        report = run_check(check, 32, block_size=8, max_counterexamples=2)
         assert sum(report.counts.values()) == 32
         assert report.counts["stuck"] > 0
         assert report.fault_events["dropped"] > 0
@@ -298,39 +297,34 @@ class TestRecoveryHarness:
             assert ce.replay() is not None  # still failing on solo replay
 
     def test_crash_on_terminating_ring_goes_stuck(self):
-        report = run_recovery_check(
+        check = RecoveryCheck(
             algorithm="terminating",
             n=4,
             id_max=30,
-            samples=16,
-            block_size=8,
-            faults=FaultModel(crashes=(NodeCrash(node=1, at_round=3),)),
-            max_counterexamples=1,
+            fault=FaultModel(crashes=(NodeCrash(node=1, at_round=3),)),
         )
+        report = run_check(check, 16, block_size=8, max_counterexamples=1)
         assert report.counts["stuck"] == 16
         assert report.counterexamples[0].classification == "stuck"
 
     def test_mid_run_crash_is_classified_and_replays(self):
         """A crash without restart strands Algorithm 3: every run lands in
         one class, and the first counterexample replays from its seeds."""
-        report = run_recovery_check(
+        check = RecoveryCheck(
             algorithm="nonoriented",
             n=5,
             id_max=40,
-            samples=32,
-            faults=FaultModel(crashes=(NodeCrash(node=1, at_round=3),)),
-            max_counterexamples=1,
+            fault=FaultModel(crashes=(NodeCrash(node=1, at_round=3),)),
         )
+        report = run_check(check, 32, max_counterexamples=1)
         assert sum(report.counts.values()) == report.samples == 32
         assert report.counterexamples
         assert report.counterexamples[0].replay() is not None
 
     def test_single_pulse_drop_accepted(self):
         drop = PulseDrop(round_index=3, node=1, instance=2)
-        report = run_recovery_check(
-            algorithm="terminating", n=4, id_max=30, samples=8,
-            block_size=8, faults=drop, max_counterexamples=1,
-        )
+        check = RecoveryCheck(algorithm="terminating", n=4, id_max=30, fault=drop)
+        report = run_check(check, 8, block_size=8, max_counterexamples=1)
         assert sum(report.counts.values()) == 8
         assert report.counts["stuck"] == 1  # only the targeted instance suffers
 

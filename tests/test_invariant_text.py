@@ -147,6 +147,7 @@ def test_column_form_prefixes_the_same_text(lemma, backend):
     with pytest.raises(InvariantViolation) as raised:
         column(round_view(backend, [CLEAN, corrupted(*corruption)]))
     assert str(raised.value) == f"instance 41, round 7: {text}"
+    assert raised.value.instance == 41
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
@@ -158,3 +159,19 @@ def test_ccw_conservation_reads_the_ccw_pair(backend):
         "instance 40, round 7: CCW conservation violated: sum(sigma)=1 != "
         "sum(rho)+sum(pend)+sum(flight)=0"
     )
+
+
+def test_numpy_column_form_screens_live_rows_only():
+    """A row quiesced before the round's deliveries goes unscreened, as
+    its solo run has stopped; a live row behind it is still found, and
+    a CCW break behind a dead CW break reads CCW."""
+    np = pytest.importorskip("numpy")
+    rows = [corrupted("flight_cw", 1, 0), CLEAN, corrupted("sigma_ccw", 2, 1)]
+    view = round_view("numpy", rows)
+    view.live = np.array([False, True, True])
+    with pytest.raises(InvariantViolation) as raised:
+        check_columns_conservation(view)
+    assert raised.value.instance == 42
+    assert str(raised.value).startswith("instance 42, round 7: CCW conservation")
+    view.live = np.array([False, True, False])
+    check_columns_conservation(view)

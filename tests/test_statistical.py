@@ -3,8 +3,8 @@
 The checker (:mod:`repro.verification.statistical`) runs the invariant
 battery over fleet-sampled instances.  Correct code must yield pass-rate
 1.0; a :class:`~repro.faults.model.PulseDrop` injection (pulse loss —
-outside the model) must be caught, localized by block bisection to the
-exact instance, and reproduced by :meth:`Counterexample.replay`.
+outside the model) must be caught, localized to the exact instance the
+violation names, and reproduced by :meth:`Counterexample.replay`.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.faults.fleet import merge_events
 from repro.faults.model import FaultModel, PulseDrop
 from repro.simulator.fleet import HAVE_NUMPY
 from repro.verification.statistical import (
+    CHECKABLE_ALGORITHMS,
     Counterexample,
     RecoveryCheck,
     RingCheck,
@@ -27,10 +28,7 @@ from repro.verification.statistical import (
     check_shard,
     ids_for_instance,
     run_check,
-    run_anonymous_whp_check,
-    run_recovery_check,
     run_statistical_check,
-    run_topology_check,
 )
 
 BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
@@ -107,7 +105,7 @@ def test_injected_drop_is_caught_localized_and_replayed(backend):
     assert report.violations == 1
     assert len(report.counterexamples) == 1
     ce = report.counterexamples[0]
-    assert ce.instance == 10  # bisection attributed the exact instance
+    assert ce.instance == 10  # the violation named the exact instance
     assert "conservation" in ce.message or "instance 10" in ce.message
     assert ce.check.sample(ce.instance)[0] == ids_for_instance(
         report.check.seed, 10, 6, 50
@@ -120,11 +118,11 @@ def test_injected_drop_is_caught_localized_and_replayed(backend):
 def test_seeded_counterexamples_replay_their_own_message():
     """A seeded counterexample from a block of 8 replays solo under the
     schedule it failed under: the schedule keys on its global index."""
-    report = run_recovery_check(
-        algorithm="nonoriented", n=6, id_max=60, samples=64,
-        scheduler="seeded", block_size=8,
-        faults=FaultModel(drop_rate=0.02, seed=3), backend="python",
+    check = RecoveryCheck(
+        algorithm="nonoriented", n=6, id_max=60, scheduler="seeded",
+        fault=FaultModel(drop_rate=0.02, seed=3), backend="python",
     )
+    report = run_check(check, 64, block_size=8)
     assert [ce.instance for ce in report.counterexamples] == [0, 1, 2, 3, 4]
     assert [ce.replay() for ce in report.counterexamples] == [
         ce.message.partition("; first violated invariant: ")[0]
@@ -142,18 +140,49 @@ def test_fault_in_untested_instance_is_silent():
     assert report.clean
 
 
-def test_counterexample_budget_is_respected():
-    # Fault with instance=None hits EVERY instance; the checker must
-    # still terminate quickly, recording at most max_counterexamples.
+def test_max_counterexamples_caps_only_the_examples():
+    # Fault with instance=None targets EVERY instance and drops a pulse
+    # in 34 of them: each is localized and counted, only the examples
+    # are capped.
     fault = PulseDrop(round_index=3, node=0, direction="cw", instance=None)
     report = run_statistical_check(
         n=6, id_max=50, samples=48, block_size=16, fault=fault,
         max_counterexamples=2,
     )
-    assert not report.clean
-    assert len(report.counterexamples) <= 2
-    assert report.violations >= len(report.counterexamples)
-    assert report.pass_rate < 1.0
+    assert report.violations == 34
+    assert len(report.counterexamples) == 2
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("algorithm", CHECKABLE_ALGORITHMS)
+@pytest.mark.parametrize(
+    "fault",
+    [FaultModel(drop_rate=0.002, seed=3), PulseDrop(round_index=3, node=0)],
+    ids=["drop-rate", "pulse-drop"],
+)
+def test_every_localized_failure_replays_its_own_message(backend, algorithm, fault):
+    """Each failure the split localizes in one block, not just the
+    reported few, carries the message its solo run raises."""
+    check = RingCheck(
+        algorithm=algorithm, n=6, id_max=50, backend=backend, fault=fault
+    )
+    _counts, failures, _events = check_shard(check, range(64), 64)
+    assert len(failures) > 5
+    for index, label, message in failures:
+        assert Counterexample(check, index, label, message).reproduces()
+
+
+@pytest.mark.parametrize("block_size, processes", [(64, 1), (16, 1), (16, 2)])
+def test_dense_fault_counts_do_not_depend_on_the_cut(block_size, processes):
+    """A shard with more failures than counterexamples still counts
+    each instance exactly: the solo count at every cut."""
+    check = RingCheck(
+        algorithm="terminating", n=8, id_max=100,
+        fault=FaultModel(drop_rate=0.0005, seed=3),
+    )
+    report = run_check(check, 256, block_size=block_size, processes=processes)
+    counts, _failures, _events = check_shard(check, range(256), 1)
+    assert report.counts == counts == {"passed": 239, "violated": 17}
 
 
 def test_fleet_fault_validation():
@@ -190,12 +219,12 @@ CHECKS = {
     "statistical": lambda **kw: run_statistical_check(
         n=4, id_max=16, samples=4, **kw
     ),
-    "recovery": lambda **kw: run_recovery_check(
-        n=4, id_max=16, samples=4, **kw
+    "recovery": lambda **kw: run_check(
+        RecoveryCheck(algorithm="nonoriented", n=4, id_max=16), 4, **kw
     ),
-    "anonymous-whp": lambda **kw: run_anonymous_whp_check(n=4, trials=4, **kw),
-    "topology": lambda **kw: run_topology_check(
-        _theta(), id_max=16, samples=4, **kw
+    "anonymous-whp": lambda **kw: run_check(WhpCheck(n=4), 4, **kw),
+    "topology": lambda **kw: run_check(
+        TopologyCheck(graph=_theta(), id_max=16), 4, **kw
     ),
 }
 
@@ -216,10 +245,10 @@ def test_every_check_reports_through_the_one_engine(check):
 def test_confidence_is_validated_before_sampling(check, confidence, monkeypatch):
     import repro.verification.statistical as statistical
 
-    def no_sampling(job):
+    def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(statistical, "_run_shard", no_sampling)
+    monkeypatch.setattr(statistical, "check_shard", no_sampling)
     with pytest.raises(ConfigurationError, match="confidence"):
         CHECKS[check](confidence=confidence)
 
@@ -232,9 +261,10 @@ def test_topology_check_honours_processes():
 
 
 def test_fault_events_total_every_run_or_stay_empty():
-    """A check without bisection totals every run's fault events, the
-    same total the shard seam gives; a bisecting check, whose aborted
-    runs report none, leaves them empty rather than undercount."""
+    """A check without the per-round battery totals every run's fault
+    events, the same total the shard worker gives; a per-round check,
+    whose aborted runs report none, leaves them empty rather than
+    undercount."""
     faults = FaultModel(drop_rate=0.05, seed=2)
     ring = dict(algorithm="nonoriented", n=5, id_max=40, fault=faults)
     recovery = run_check(
@@ -247,11 +277,14 @@ def test_fault_events_total_every_run_or_stay_empty():
     assert recovery.fault_events == events and events["dropped"] > 0
     drop = PulseDrop(round_index=3, node=2, direction="cw", instance=5)
     ring.update(n=8, id_max=100, fault=FaultModel(drops=(drop,)))
-    bisected = run_check(RingCheck(**ring), 32, block_size=8)
-    assert bisected.violations == 1 and bisected.fault_events == {}
+    per_round = run_check(RingCheck(**ring), 32, block_size=8)
+    assert per_round.violations == 1 and per_round.fault_events == {}
 
 
-def test_whp_check_runs_each_shard_as_one_fleet(monkeypatch):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_whp_report_is_the_same_in_any_block_size(backend, monkeypatch):
+    """Attempt ``i`` is seed ``seed + i`` wherever its block starts, so
+    ``block_size`` is an execution knob for the w.h.p. check too."""
     sizes = []
     run = WhpCheck.run
 
@@ -260,8 +293,10 @@ def test_whp_check_runs_each_shard_as_one_fleet(monkeypatch):
         return run(self, block, offset, observer)
 
     monkeypatch.setattr(WhpCheck, "run", recording_run)
-    report = run_check(WhpCheck(n=4), 10, block_size=3)
-    assert sizes == [10] and report.samples == 10
+    check = WhpCheck(n=4, c=1.0, backend=backend)
+    one, three, whole = (run_check(check, 40, block_size=size) for size in (1, 3, 40))
+    assert sizes == [1] * 40 + [3] * 13 + [1, 40]
+    assert one == three == whole and whole.violations > 0
 
 
 # -- report arithmetic ------------------------------------------------------
@@ -296,17 +331,22 @@ PARTITION_FAULTS = {
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("fault", sorted(PARTITION_FAULTS))
 @pytest.mark.parametrize("scheduler", ["lockstep", "seeded"])
+@pytest.mark.parametrize("kind", [RecoveryCheck, RingCheck], ids=["recovery", "ring"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_any_partition_tallies_like_one_block(scheduler, fault, backend, data):
+def test_any_partition_tallies_like_one_block(
+    kind, scheduler, fault, backend, data
+):
     """Any split of ``range(samples)`` into contiguous shards, in any
     block size, gives the counts, failures and fault events of one
     block: IDs, flips, fault rolls and the seeded schedule all key on
-    an instance's global index alone."""
+    an instance's global index alone.  :func:`run_check`, keeping one
+    counterexample from a shard of many failures, reports the same
+    counts and interval."""
     samples = data.draw(st.integers(min_value=1, max_value=12), label="samples")
     cuts = data.draw(st.sets(st.integers(min_value=1, max_value=samples)), label="cuts")
     block_size = data.draw(st.integers(min_value=1, max_value=samples), label="block")
-    check = RecoveryCheck(
+    check = kind(
         algorithm="nonoriented", n=4, id_max=16, sched_seed=7,
         scheduler=scheduler, backend=backend, fault=PARTITION_FAULTS[fault],
     )
@@ -317,8 +357,15 @@ def test_any_partition_tallies_like_one_block(scheduler, fault, backend, data):
         if start < stop
     ]
     events = [part_events for _counts, _failures, part_events in parts if part_events]
+    whole = check_shard(check, range(samples), samples)
     assert (
         {name: sum(counts[name] for counts, _f, _e in parts) for name in check.classes},
         [failure for _counts, failures, _e in parts for failure in failures],
         merge_events(*events) if events else {},
-    ) == check_shard(check, range(samples), samples)
+    ) == whole
+    report = run_check(check, samples, block_size=block_size, max_counterexamples=1)
+    passes = whole[0][check.classes[0]]
+    assert (report.counts, (report.rate_low, report.rate_high)) == (
+        whole[0],
+        clopper_pearson_interval(passes, samples, confidence=report.confidence),
+    )
